@@ -143,27 +143,6 @@ EnvValue<double> ParseEnvDouble(const char* name, double fallback) {
   return out;
 }
 
-EnvValue<int> ParseEnvEnum(
-    const char* name,
-    const std::vector<std::pair<std::string, int>>& options, int fallback) {
-  EnvValue<int> out;
-  out.value = fallback;
-  const char* env = std::getenv(name);
-  if (env == nullptr) return out;
-  out.present = true;
-  out.raw = env;
-  for (const auto& option : options) {
-    if (option.first == env) {
-      out.value = option.second;
-      return out;
-    }
-  }
-  out.valid = false;
-  out.error = "expected one of:";
-  for (const auto& option : options) out.error += " " + option.first;
-  return out;
-}
-
 EnvValue<bool> ParseEnvFlag(const char* name, bool fallback) {
   EnvValue<bool> out;
   out.value = fallback;

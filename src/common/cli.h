@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace histest {
@@ -62,13 +61,6 @@ EnvValue<int64_t> ParseEnvInt(const char* name, int64_t min_value,
 
 /// Parses a strictly positive, finite double environment variable.
 EnvValue<double> ParseEnvDouble(const char* name, double fallback);
-
-/// Parses an enumerated environment variable against `options`
-/// (spelling -> value), case-sensitively. On a spelling mismatch, `error`
-/// lists the accepted spellings.
-EnvValue<int> ParseEnvEnum(
-    const char* name,
-    const std::vector<std::pair<std::string, int>>& options, int fallback);
 
 /// Parses a presence-style boolean environment variable: unset -> fallback;
 /// set to "" or "0" -> false; any other value -> true. Matches the

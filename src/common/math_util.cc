@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <math.h>  // lgamma_r (POSIX, not in <cmath>)
 
 #include "common/check.h"
 
@@ -33,13 +34,17 @@ double Clamp(double v, double lo, double hi) {
   return std::min(std::max(v, lo), hi);
 }
 
+double LogGamma(double x) {
+  int sign = 0;
+  return lgamma_r(x, &sign);
+}
+
 double LogChoose(int64_t n, int64_t k) {
   HISTEST_CHECK_GE(k, 0);
   HISTEST_CHECK_LE(k, n);
   const double nd = static_cast<double>(n);
   const double kd = static_cast<double>(k);
-  return std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) -
-         std::lgamma(nd - kd + 1.0);
+  return LogGamma(nd + 1.0) - LogGamma(kd + 1.0) - LogGamma(nd - kd + 1.0);
 }
 
 int64_t CeilDiv(int64_t a, int64_t b) {

@@ -48,7 +48,12 @@ constexpr inline bool ExactlyEqual(double a, double b) { return a == b; }
 /// Clamps `v` into [lo, hi].
 double Clamp(double v, double lo, double hi);
 
-/// log(n choose k) via lgamma; requires 0 <= k <= n.
+/// log|Gamma(x)|. Same value as std::lgamma, but through the reentrant
+/// lgamma_r: std::lgamma also writes glibc's global `signgam`, a data race
+/// when trials run on several threads.
+double LogGamma(double x);
+
+/// log(n choose k) via LogGamma; requires 0 <= k <= n.
 double LogChoose(int64_t n, int64_t k);
 
 /// Ceil division for nonnegative integers.

@@ -113,7 +113,7 @@ int64_t Rng::Poisson(double mean) {
     if (kf < 0.0 || (us < 0.013 && v > us)) continue;
     const double k = kf;
     if (std::log(v) + std::log(inv_alpha) - std::log(a / (us * us) + b) <=
-        k * log_mean - mean - std::lgamma(k + 1.0)) {
+        k * log_mean - mean - LogGamma(k + 1.0)) {
       return static_cast<int64_t>(kf);
     }
   }

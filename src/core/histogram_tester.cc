@@ -178,7 +178,8 @@ Result<HistogramTestReport> HistogramTester::TestWithReport(
     std::ostringstream info;
     info << "dist(Dhat,Hk|G) in [" << check.value().bounds.lower << ", "
          << check.value().bounds.upper << "] threshold="
-         << opts.check.threshold_fraction * eps_;
+         << opts.check.threshold_fraction * eps_ << " decided_by="
+         << HkBoundName(check.value().decided_by);
     report.stages.push_back(StageReport{"check", 0, info.str()});
   }
   if (!check.value().close) {

@@ -36,15 +36,10 @@ Result<HkCheckResult> CheckCloseToHkOnSubdomain(
   const std::vector<Interval> kept = ActiveSubdomain(partition, active);
   if (kept.empty()) {
     // Everything was discarded: vacuously close.
-    return HkCheckResult{true, DistanceBounds{0.0, 0.0}};
+    return HkCheckResult{true, DistanceBounds{0.0, 0.0}, HkBound::kGreedy};
   }
-  auto bounds =
-      RestrictedDistanceToHkPieces(dhat, kept, k, options.distance);
-  HISTEST_RETURN_IF_ERROR(bounds.status());
-  HkCheckResult result;
-  result.bounds = bounds.value();
-  result.close = result.bounds.lower <= options.threshold_fraction * eps;
-  return result;
+  return DecideRestrictedDistanceToHk(
+      dhat, kept, k, options.threshold_fraction * eps, options.distance);
 }
 
 }  // namespace histest

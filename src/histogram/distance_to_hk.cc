@@ -307,22 +307,95 @@ Result<std::vector<WeightedAtom>> BuildSubdomainAtoms(
   return atoms;
 }
 
-Result<DistanceBounds> RestrictedDistanceToHkPieces(
+namespace {
+
+/// The Step-10 problem shared by the exact bracket and the threshold
+/// decision: the witness bound on the uncoarsened subdomain atoms, and the
+/// sequence the DP runs on with its coarsening error (the slack).
+struct SubdomainProblem {
+  double witness = 0.0;
+  CoarsenResult coarse;
+};
+
+Result<SubdomainProblem> PrepareSubdomainProblem(
     const PiecewiseConstant& dhat, const std::vector<Interval>& kept, size_t k,
     const HkDistanceOptions& options) {
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
   auto built = BuildSubdomainAtoms(dhat, kept);
   HISTEST_RETURN_IF_ERROR(built.status());
   std::vector<WeightedAtom> atoms = std::move(built).value();
-
-  const double witness = WitnessLowerBoundTv(atoms, k);
+  SubdomainProblem problem;
+  problem.witness = WitnessLowerBoundTv(atoms, k);
   auto coarse = MaybeCoarsen(std::move(atoms), options.dp_atom_limit);
   HISTEST_RETURN_IF_ERROR(coarse.status());
-  const double slack = coarse.value().coarsening_error;
-  auto fit = FitAtomsL1(coarse.value().atoms, k, options.mode);
+  problem.coarse = std::move(coarse).value();
+  return problem;
+}
+
+/// The exact bracket from the k-piece DP on the prepared sequence.
+Result<DistanceBounds> DpBounds(const SubdomainProblem& problem, size_t k,
+                                const HkDistanceOptions& options) {
+  auto fit = FitAtomsL1(problem.coarse.atoms, k, options.mode);
   HISTEST_RETURN_IF_ERROR(fit.status());
   const double dist = 0.5 * fit.value().l1_error;
-  return DistanceBounds{std::max(witness, dist - slack), dist + slack};
+  const double slack = problem.coarse.coarsening_error;
+  return DistanceBounds{std::max(problem.witness, dist - slack),
+                        dist + slack};
+}
+
+}  // namespace
+
+Result<DistanceBounds> RestrictedDistanceToHkPieces(
+    const PiecewiseConstant& dhat, const std::vector<Interval>& kept, size_t k,
+    const HkDistanceOptions& options) {
+  auto problem = PrepareSubdomainProblem(dhat, kept, k, options);
+  HISTEST_RETURN_IF_ERROR(problem.status());
+  return DpBounds(problem.value(), k, options);
+}
+
+const char* HkBoundName(HkBound bound) {
+  switch (bound) {
+    case HkBound::kWitness:
+      return "witness";
+    case HkBound::kGreedy:
+      return "greedy";
+    case HkBound::kDp:
+      return "dp";
+  }
+  return "dp";
+}
+
+Result<HkDecision> DecideRestrictedDistanceToHk(
+    const PiecewiseConstant& dhat, const std::vector<Interval>& kept, size_t k,
+    double threshold, const HkDistanceOptions& options) {
+  auto prepared = PrepareSubdomainProblem(dhat, kept, k, options);
+  HISTEST_RETURN_IF_ERROR(prepared.status());
+  const SubdomainProblem& problem = prepared.value();
+  const double slack = problem.coarse.coarsening_error;
+  // Any k-piece fit of the DP's sequence costs at least the DP optimum, so
+  // the greedy merge down to k pieces bounds the DP's distance from above.
+  auto greedy_fit = GreedyMergeAtoms(problem.coarse.atoms, k);
+  HISTEST_RETURN_IF_ERROR(greedy_fit.status());
+  const double greedy = 0.5 * greedy_fit.value().coarsening_error;
+  const DistanceBounds bracket{problem.witness, greedy + slack};
+  // The exact lower bound is max(witness, dp - slack), so a witness above
+  // the threshold already decides "far".
+  if (problem.witness > threshold) {
+    return HkDecision{false, bracket, HkBound::kWitness};
+  }
+  // dp - slack <= greedy - slack, so a greedy fit below the threshold
+  // decides "close". The greedy and the DP sum their costs in different
+  // orders, so near-ties go to the DP. The margin is absolute: distances
+  // are at most 1, and a zero-cost greedy fit can meet a DP optimum of a
+  // few ulps (1e-17), which a margin relative to a tiny threshold misses.
+  constexpr double kTieMargin = 1e-9;
+  if (greedy - slack < threshold - kTieMargin) {
+    return HkDecision{true, bracket, HkBound::kGreedy};
+  }
+  auto bounds = DpBounds(problem, k, options);
+  HISTEST_RETURN_IF_ERROR(bounds.status());
+  return HkDecision{bounds.value().lower <= threshold, bounds.value(),
+                    HkBound::kDp};
 }
 
 }  // namespace histest

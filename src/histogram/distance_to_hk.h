@@ -57,6 +57,39 @@ Result<DistanceBounds> RestrictedDistanceToHkPieces(
     const PiecewiseConstant& dhat, const std::vector<Interval>& kept, size_t k,
     const HkDistanceOptions& options = {});
 
+/// Which bound settled a DecideRestrictedDistanceToHk call.
+enum class HkBound {
+  /// The witness-oscillation lower bound exceeded the threshold: far.
+  kWitness,
+  /// The greedy k-piece merge fit under the threshold: close.
+  kGreedy,
+  /// Neither cheap bound decided, so the exact k-piece DP ran.
+  kDp,
+};
+
+/// "witness", "greedy" or "dp".
+const char* HkBoundName(HkBound bound);
+
+/// A threshold decision on the Step-10 restricted distance.
+struct HkDecision {
+  /// True iff RestrictedDistanceToHkPieces(...).lower <= threshold.
+  bool close = false;
+  /// A valid bracket on the restricted distance. With kDp it is the exact
+  /// DP bracket. With kWitness or kGreedy it is [witness, greedy + slack]
+  /// (slack: the coarsening error), which encloses the DP bracket; only the
+  /// end that decided is compared with the threshold.
+  DistanceBounds bounds;
+  HkBound decided_by = HkBound::kDp;
+};
+
+/// Decides RestrictedDistanceToHkPieces(dhat, kept, k).lower <= threshold
+/// with the same verdict, running the exact k-piece DP only when neither
+/// cheap bound settles it: the witness lower bound above the threshold
+/// decides far, and a greedy k-piece merge fit below it decides close.
+Result<HkDecision> DecideRestrictedDistanceToHk(
+    const PiecewiseConstant& dhat, const std::vector<Interval>& kept, size_t k,
+    double threshold, const HkDistanceOptions& options = {});
+
 /// Builds the weighted atom sequence of a piecewise hypothesis intersected
 /// with a kept-subdomain: kept spans carry their length as cost weight,
 /// complement spans become zero-weight gap atoms. Shared by the H_k and

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <span>
 
 #include "common/check.h"
 #include "common/math_util.h"
@@ -11,22 +12,29 @@
 namespace histest {
 namespace {
 
-/// A live segment in the greedy merger: a run of original atoms kept as a
-/// value-sorted (value, weight) list for weighted-median cost evaluation.
+constexpr size_t kNone = std::numeric_limits<size_t>::max();
+
+using ValueWeight = std::pair<double, double>;
+
+/// A segment in the greedy merger: a run of original atoms, identified by
+/// its first atom. The (value, weight) pairs of its kept atoms sit
+/// value-sorted in the merger's flat array at [id, id + size); gap atoms
+/// leave their slots unused. A merge absorbs the right neighbour into the
+/// left one and sorts both runs back into the left's slots, as bottom-up
+/// merge sort does, so a segment's run never leaves its own atom range.
 struct Segment {
-  std::vector<std::pair<double, double>> sorted_vw;  // kept atoms only
+  size_t size = 0;
   double total_length = 0.0;
   double total_weight = 0.0;
   double cost = 0.0;  // weighted-median L1 cost of this segment
-  size_t prev = std::numeric_limits<size_t>::max();
-  size_t next = std::numeric_limits<size_t>::max();
-  size_t version = 0;
-  bool alive = true;
+  size_t prev = kNone;
+  size_t next = kNone;
+  size_t version = 0;  // bumped on every merge into or out of the segment
 };
 
 /// Weighted-median L1 cost of a value-sorted (value, weight) list.
-double MedianCost(const std::vector<std::pair<double, double>>& vw,
-                  double total_weight, double* median_out) {
+double MedianCost(std::span<const ValueWeight> vw, double total_weight,
+                  double* median_out) {
   if (vw.empty() || total_weight <= 0.0) {
     if (median_out != nullptr) *median_out = 0.0;
     return 0.0;
@@ -49,13 +57,19 @@ double MedianCost(const std::vector<std::pair<double, double>>& vw,
   return cost.Total();
 }
 
-std::vector<std::pair<double, double>> MergeSorted(
-    const std::vector<std::pair<double, double>>& a,
-    const std::vector<std::pair<double, double>>& b) {
-  std::vector<std::pair<double, double>> out;
-  out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return out;
+/// Merges the sorted runs of the adjacent segments `left_id` and `right_id`
+/// into `scratch` and returns the merged run.
+std::span<const ValueWeight> MergeRuns(const std::vector<ValueWeight>& vw,
+                                       const std::vector<Segment>& segments,
+                                       size_t left_id, size_t right_id,
+                                       std::vector<ValueWeight>& scratch) {
+  const ValueWeight* left = vw.data() + left_id;
+  const ValueWeight* right = vw.data() + right_id;
+  const size_t left_size = segments[left_id].size;
+  const size_t right_size = segments[right_id].size;
+  std::merge(left, left + left_size, right, right + right_size,
+             scratch.begin());
+  return {scratch.data(), left_size + right_size};
 }
 
 struct HeapEntry {
@@ -79,29 +93,33 @@ Result<CoarsenResult> GreedyMergeAtoms(const std::vector<WeightedAtom>& atoms,
   }
   const size_t m = atoms.size();
   std::vector<Segment> segments(m);
+  std::vector<ValueWeight> vw(m);
+  std::vector<ValueWeight> scratch(m);
   for (size_t i = 0; i < m; ++i) {
     Segment& s = segments[i];
     if (atoms[i].cost_weight > 0.0) {
-      s.sorted_vw.emplace_back(atoms[i].value, atoms[i].cost_weight);
+      vw[i] = {atoms[i].value, atoms[i].cost_weight};
+      s.size = 1;
       s.total_weight = atoms[i].cost_weight;
     }
     s.total_length = atoms[i].length;
-    s.cost = 0.0;
-    s.prev = (i == 0) ? std::numeric_limits<size_t>::max() : i - 1;
-    s.next = (i + 1 == m) ? std::numeric_limits<size_t>::max() : i + 1;
+    s.prev = (i == 0) ? kNone : i - 1;
+    s.next = (i + 1 == m) ? kNone : i + 1;
   }
 
+  // The m - 1 initial candidates, then at most one net push per merge (a
+  // merge pops one entry and pushes two), so the heap never reallocates.
+  std::vector<HeapEntry> heap_storage;
+  heap_storage.reserve(2 * m);
   std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                       std::greater<HeapEntry>>
-      heap;
+      heap(std::greater<HeapEntry>(), std::move(heap_storage));
   auto push_candidate = [&](size_t left) {
     const size_t right = segments[left].next;
-    if (right == std::numeric_limits<size_t>::max()) return;
-    const auto merged = MergeSorted(segments[left].sorted_vw,
-                                    segments[right].sorted_vw);
+    if (right == kNone) return;
     const double merged_cost = MedianCost(
-        merged, segments[left].total_weight + segments[right].total_weight,
-        nullptr);
+        MergeRuns(vw, segments, left, right, scratch),
+        segments[left].total_weight + segments[right].total_weight, nullptr);
     heap.push(HeapEntry{
         merged_cost - segments[left].cost - segments[right].cost, left,
         segments[left].version, segments[right].version});
@@ -109,42 +127,44 @@ Result<CoarsenResult> GreedyMergeAtoms(const std::vector<WeightedAtom>& atoms,
   for (size_t i = 0; i + 1 < m; ++i) push_candidate(i);
 
   size_t live = m;
-  size_t head = 0;
   while (live > target_count) {
     HISTEST_CHECK(!heap.empty());
     const HeapEntry top = heap.top();
     heap.pop();
+    // A dead segment's version was bumped when it was absorbed, so stale
+    // entries fail the version checks; `next` only links live segments.
     Segment& left = segments[top.left];
-    if (!left.alive || left.version != top.left_version) continue;
+    if (left.version != top.left_version) continue;
     const size_t right_id = left.next;
-    if (right_id == std::numeric_limits<size_t>::max()) continue;
+    if (right_id == kNone) continue;
     Segment& right = segments[right_id];
-    if (!right.alive || right.version != top.right_version) continue;
-    // Execute the merge into `left`.
-    left.sorted_vw = MergeSorted(left.sorted_vw, right.sorted_vw);
+    if (right.version != top.right_version) continue;
+    // Execute the merge into `left`, writing the merged run back in place.
+    const std::span<const ValueWeight> merged =
+        MergeRuns(vw, segments, top.left, right_id, scratch);
+    std::copy(merged.begin(), merged.end(), vw.begin() + top.left);
+    left.size = merged.size();
     left.total_length += right.total_length;
     left.total_weight += right.total_weight;
-    left.cost = MedianCost(left.sorted_vw, left.total_weight, nullptr);
+    left.cost = MedianCost(merged, left.total_weight, nullptr);
     left.next = right.next;
-    if (right.next != std::numeric_limits<size_t>::max()) {
-      segments[right.next].prev = top.left;
-    }
-    right.alive = false;
+    if (right.next != kNone) segments[right.next].prev = top.left;
+    ++right.version;
     ++left.version;
     --live;
-    if (left.prev != std::numeric_limits<size_t>::max()) {
-      push_candidate(left.prev);
-    }
+    if (left.prev != kNone) push_candidate(left.prev);
     push_candidate(top.left);
   }
 
   CoarsenResult result;
+  result.atoms.reserve(live);
   KahanSum error;
-  for (size_t id = head; id != std::numeric_limits<size_t>::max();
-       id = segments[id].next) {
+  for (size_t id = 0; id != kNone; id = segments[id].next) {
     const Segment& s = segments[id];
     double median = 0.0;
-    const double cost = MedianCost(s.sorted_vw, s.total_weight, &median);
+    const double cost = MedianCost(
+        std::span<const ValueWeight>(vw.data() + id, s.size),
+        s.total_weight, &median);
     error.Add(cost);
     result.atoms.push_back(
         WeightedAtom{median, s.total_length, s.total_weight});

@@ -147,33 +147,6 @@ TEST(ParseEnvDoubleTest, ParsesAndRejects) {
   }
 }
 
-TEST(ParseEnvEnumTest, MatchesSpellingsAndListsOptions) {
-  const std::vector<std::pair<std::string, int>> options = {
-      {"off", 0}, {"dense", 1}, {"sparse", 2}, {"auto", 3}};
-  {
-    const ScopedEnv env("HISTEST_TEST_ENUM", "dense");
-    const auto v = ParseEnvEnum("HISTEST_TEST_ENUM", options, 0);
-    EXPECT_TRUE(v.present);
-    EXPECT_TRUE(v.valid);
-    EXPECT_EQ(v.value, 1);
-  }
-  {
-    const ScopedEnv env("HISTEST_TEST_ENUM", "DENSE");  // case-sensitive
-    const auto v = ParseEnvEnum("HISTEST_TEST_ENUM", options, 0);
-    EXPECT_FALSE(v.valid);
-    EXPECT_EQ(v.value, 0);
-    // The diagnostic names every accepted spelling.
-    EXPECT_NE(v.error.find("off"), std::string::npos);
-    EXPECT_NE(v.error.find("auto"), std::string::npos);
-  }
-  {
-    const ScopedEnv env("HISTEST_TEST_ENUM", nullptr);
-    const auto v = ParseEnvEnum("HISTEST_TEST_ENUM", options, 3);
-    EXPECT_FALSE(v.present);
-    EXPECT_EQ(v.value, 3);
-  }
-}
-
 // ShouldWarnOnceForEnv backs the once-per-value stderr warnings for
 // malformed env vars (e.g. HISTEST_THREADS). The registry is
 // process-global and never resets, so each test uses variable names unique

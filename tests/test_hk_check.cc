@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <limits>
+
 #include "common/rng.h"
 #include "dist/generators.h"
+#include "histogram/fit_merge.h"
 
 namespace histest {
 namespace {
@@ -102,6 +107,118 @@ TEST(HkCheckTest, EverythingDiscardedIsVacuouslyClose) {
                                           0.1);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().close);
+}
+
+/// A hypothesis of the shape Step 10 sees: a k0-histogram, comb or
+/// staircase, spread over a fine partition with multiplicative noise.
+PiecewiseConstant RandomHypothesis(Rng& rng, size_t n, int family) {
+  std::vector<double> pmf;
+  const size_t k0 = 1 + rng.UniformInt(24);
+  switch (family) {
+    case 0:
+      pmf = MakeRandomKHistogram(n, k0, rng).value().ToDistribution()
+                .value().pmf();
+      break;
+    case 1:
+      pmf = MakeComb(n, 2 + rng.UniformInt(16), 0.3).value().pmf();
+      break;
+    default:
+      pmf = MakeStaircase(n, k0).value().ToDistribution().value().pmf();
+      break;
+  }
+  const Partition fine = Partition::EquiWidth(n, n / 2);
+  const double noise = (rng.UniformInt(3) == 0) ? 0.0 : 0.4;
+  std::vector<double> masses(fine.NumIntervals());
+  for (size_t j = 0; j < masses.size(); ++j) {
+    const Interval iv = fine.interval(j);
+    double mass = 0.0;
+    for (size_t i = iv.begin; i < iv.end; ++i) mass += pmf[i];
+    masses[j] = mass * (1.0 + noise * (rng.UniformDouble() - 0.5));
+  }
+  return PiecewiseConstant::FromPartitionMasses(fine, masses);
+}
+
+// The decision must give RestrictedDistanceToHkPieces's verdict at every
+// threshold, including thresholds exactly at the witness, greedy and DP
+// values, and its bracket must enclose the DP bracket.
+TEST(DecideRestrictedDistanceToHkTest, SameVerdictAsExactBracket) {
+  Rng rng(20231017);
+  std::array<int, 3> branches = {0, 0, 0};
+  for (int trial = 0; trial < 240; ++trial) {
+    const size_t n = size_t{64} << rng.UniformInt(3);
+    const PiecewiseConstant dhat = RandomHypothesis(rng, n, trial % 3);
+    const size_t k = 1 + rng.UniformInt(32);
+    const Partition p = Partition::EquiWidth(n, n / 8);
+    const double keep = (trial % 4 == 0) ? 1.0 : 0.5 + 0.4 * rng.UniformDouble();
+    std::vector<bool> active(p.NumIntervals());
+    for (size_t j = 0; j < active.size(); ++j) active[j] = rng.Bernoulli(keep);
+    const std::vector<Interval> kept = ActiveSubdomain(p, active);
+    if (kept.empty()) continue;
+    HkDistanceOptions options;
+    // Every fifth trial coarsens before the DP, so the slack is non-zero.
+    if (trial % 5 == 0) options.dp_atom_limit = 8 + rng.UniformInt(24);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " n=" << n
+                                      << " k=" << k);
+
+    const DistanceBounds exact =
+        RestrictedDistanceToHkPieces(dhat, kept, k, options).value();
+    // The cheap bounds, recomputed the way the decision computes them.
+    const auto atoms = BuildSubdomainAtoms(dhat, kept).value();
+    CoarsenResult coarse{atoms, 0.0};
+    if (atoms.size() > options.dp_atom_limit) {
+      coarse = GreedyMergeAtoms(atoms, options.dp_atom_limit).value();
+    }
+    const double slack = coarse.coarsening_error;
+    const double greedy =
+        0.5 * GreedyMergeAtoms(coarse.atoms, k).value().coarsening_error;
+    const double witness =
+        DecideRestrictedDistanceToHk(dhat, kept, k, -1.0, options)
+            .value()
+            .bounds.lower;
+    const double dp = exact.upper - slack;
+
+    std::vector<double> thresholds = {0.0, 1.0, 0.5 * (witness + greedy)};
+    for (const double v : {witness, greedy - slack, greedy + slack, dp - slack,
+                           dp, exact.lower, exact.upper}) {
+      thresholds.push_back(v);
+      thresholds.push_back(std::nextafter(v, -1.0));
+      thresholds.push_back(std::nextafter(v, 2.0));
+    }
+    for (const double thr : thresholds) {
+      const HkDecision d =
+          DecideRestrictedDistanceToHk(dhat, kept, k, thr, options).value();
+      ++branches[static_cast<size_t>(d.decided_by)];
+      EXPECT_EQ(d.close, exact.lower <= thr) << "thr=" << thr;
+      EXPECT_LE(d.bounds.lower, exact.lower);
+      EXPECT_GE(d.bounds.upper, exact.upper - 1e-12);
+      if (d.decided_by == HkBound::kDp) {
+        EXPECT_TRUE(ExactlyEqual(d.bounds.lower, exact.lower));
+        EXPECT_TRUE(ExactlyEqual(d.bounds.upper, exact.upper));
+      }
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(branches[static_cast<size_t>(HkBound::kWitness)], 0);
+  EXPECT_GT(branches[static_cast<size_t>(HkBound::kGreedy)], 0);
+  EXPECT_GT(branches[static_cast<size_t>(HkBound::kDp)], 0);
+}
+
+TEST(HkCheckTest, RecordsTheDecidingBound) {
+  const Partition p = Partition::EquiWidth(256, 16);
+  const std::vector<bool> all(16, true);
+  // A comb far from H_2: the witness decides.
+  const auto comb =
+      PiecewiseConstant::FromDistribution(MakeComb(256, 32, 0.2).value());
+  const auto far = CheckCloseToHkOnSubdomain(comb, p, all, 2, 0.25).value();
+  EXPECT_FALSE(far.close);
+  EXPECT_EQ(far.decided_by, HkBound::kWitness);
+  // A 4-histogram in H_4: the greedy merge finds a zero-cost fit.
+  Rng rng(9);
+  const auto khist = MakeRandomKHistogram(256, 4, rng).value();
+  const auto close = CheckCloseToHkOnSubdomain(khist, p, all, 4, 0.25).value();
+  EXPECT_TRUE(close.close);
+  EXPECT_EQ(close.decided_by, HkBound::kGreedy);
+  EXPECT_LE(close.bounds.lower, close.bounds.upper);
 }
 
 }  // namespace

@@ -53,6 +53,15 @@ TEST(MathUtilTest, LogChooseMatchesSmallCases) {
   EXPECT_NEAR(LogChoose(52, 5), std::log(2598960.0), 1e-6);
 }
 
+// Bit patterns computed with std::lgamma; LogGamma must reproduce them.
+TEST(MathUtilTest, LogChooseValuesArePinned) {
+  EXPECT_TRUE(ExactlyEqual(LogChoose(5, 2), 0x1.26bb1bbb55515p+1));
+  EXPECT_TRUE(ExactlyEqual(LogChoose(1000, 300), 0x1.2fa2c063bc3dp+9));
+  EXPECT_TRUE(ExactlyEqual(LogChoose(1000000, 12345), 0x1.03d103fae588p+16));
+  EXPECT_TRUE(ExactlyEqual(LogChoose(int64_t{1} << 40, 777), 0x1.0be1f8p+14));
+  EXPECT_TRUE(ExactlyEqual(LogChoose(64, 32), 0x1.506b1213610e4p+5));
+}
+
 TEST(MathUtilTest, CeilDiv) {
   EXPECT_EQ(CeilDiv(10, 3), 4);
   EXPECT_EQ(CeilDiv(9, 3), 3);

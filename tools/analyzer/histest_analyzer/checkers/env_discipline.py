@@ -2,8 +2,8 @@
 
 Raw `std::getenv` scatters ad-hoc parsing (atoi with silent zero on
 garbage, inconsistent empty-string semantics) and bypasses the
-out-of-range diagnostics that ParseEnvInt / ParseEnvDouble / ParseEnvEnum
-/ ParseEnvFlag centralize. One call site is sanctioned: the parsers'
+out-of-range diagnostics that ParseEnvInt / ParseEnvDouble / ParseEnvFlag
+centralize. One call site is sanctioned: the parsers'
 own implementation in src/common/cli.cc.
 """
 
@@ -39,8 +39,8 @@ class EnvDisciplineChecker(Checker):
             out.append(Finding(
                 self.name, ctx.rel_path, t.line, t.col,
                 f"raw {t.text}() bypasses the shared env parsing and "
-                f"diagnostics; use ParseEnvInt/ParseEnvDouble/ParseEnvEnum/"
-                f"ParseEnvFlag from common/cli.h (sole sanctioned call "
+                f"diagnostics; use ParseEnvInt/ParseEnvDouble/ParseEnvFlag "
+                f"from common/cli.h (sole sanctioned call "
                 f"site: src/common/cli.cc)",
                 ctx.line_text(t.line)))
         return out
