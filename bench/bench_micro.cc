@@ -28,25 +28,6 @@
 namespace histest {
 namespace {
 
-/// Replays the pre-batching ("seed") oracle behaviour — per-sample virtual
-/// dispatch into a dense count vector — for before/after comparisons.
-class SeedStyleOracle : public SampleOracle {
- public:
-  SeedStyleOracle(const Distribution& dist, uint64_t seed)
-      : inner_(dist, seed) {}
-  size_t DomainSize() const override { return inner_.DomainSize(); }
-  size_t Draw() override { return inner_.Draw(); }
-  int64_t SamplesDrawn() const override { return inner_.SamplesDrawn(); }
-  CountVector DrawCounts(int64_t count) override {
-    CountVector cv(DomainSize());
-    for (int64_t i = 0; i < count; ++i) cv.Add(Draw());
-    return cv;
-  }
-
- private:
-  DistributionOracle inner_;
-};
-
 void BM_AliasSample(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto dist = MakeZipf(n, 1.0).value();
@@ -100,11 +81,9 @@ void BM_OracleDrawBatch(benchmark::State& state) {
 BENCHMARK(BM_OracleDrawBatch)->Arg(10000)->Arg(1000000);
 
 /// The E1 workload at tester scale: k=5 in-class random histograms, the
-/// acceptance harness run for a fixed trial count. `rebuilt` replays the
-/// seed behaviour (per-trial O(n) alias construction, scalar draws, dense
-/// counts, per-call thread spawning is approximated by the pool); `shared`
-/// is the current pipeline. Reported counter: trials per second.
-void RunTrialsBenchmark(benchmark::State& state, bool seed_style) {
+/// acceptance harness run for a fixed trial count over one shared alias
+/// table. Reported counter: trials per second.
+void BM_TrialsBatchedShared(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng gen(29);
   const auto dist =
@@ -117,43 +96,14 @@ void RunTrialsBenchmark(benchmark::State& state, bool seed_style) {
   };
   int64_t done = 0;
   for (auto _ : state) {
-    if (seed_style) {
-      // Seed behaviour: every trial rebuilds the O(n) table and funnels
-      // all draws through the scalar/dense path.
-      Rng rng(4242);
-      std::vector<std::pair<uint64_t, uint64_t>> seeds(trials);
-      for (auto& s : seeds) s = {rng.Next(), rng.Next()};
-      std::vector<int> accepted(trials, 0);
-      ParallelFor(trials, threads, [&](int64_t t) {
-        SeedStyleOracle oracle(dist, seeds[t].first);
-        auto tester = factory(seeds[t].second);
-        auto outcome = tester->Test(oracle);
-        accepted[t] =
-            outcome.ok() && outcome.value().verdict == Verdict::kAccept;
-      });
-      benchmark::DoNotOptimize(accepted.data());
-    } else {
-      auto stats = EstimateAcceptanceParallel(factory, dist, trials, 4242,
-                                              threads);
-      benchmark::DoNotOptimize(stats);
-    }
+    auto stats =
+        EstimateAcceptanceParallel(factory, dist, trials, 4242, threads);
+    benchmark::DoNotOptimize(stats);
     done += trials;
   }
   state.SetItemsProcessed(done);
   state.counters["trials_per_sec"] = benchmark::Counter(
       static_cast<double>(done), benchmark::Counter::kIsRate);
-}
-
-void BM_TrialsSeedStyle(benchmark::State& state) {
-  RunTrialsBenchmark(state, /*seed_style=*/true);
-}
-BENCHMARK(BM_TrialsSeedStyle)
-    ->Arg(10000)
-    ->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_TrialsBatchedShared(benchmark::State& state) {
-  RunTrialsBenchmark(state, /*seed_style=*/false);
 }
 BENCHMARK(BM_TrialsBatchedShared)
     ->Arg(10000)
@@ -267,22 +217,10 @@ void BM_FitAtomsL1Fast(benchmark::State& state) {
   const auto atoms = MakeDpBenchAtoms(static_cast<size_t>(state.range(0)));
   const size_t k = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FitAtomsL1(atoms, k, FitDpMode::kFast));
+    benchmark::DoNotOptimize(FitAtomsL1(atoms, k));
   }
 }
 BENCHMARK(BM_FitAtomsL1Fast)
-    ->Args({1024, 64})
-    ->Args({4096, 64})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FitAtomsL1Reference(benchmark::State& state) {
-  const auto atoms = MakeDpBenchAtoms(static_cast<size_t>(state.range(0)));
-  const size_t k = static_cast<size_t>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(FitAtomsL1(atoms, k, FitDpMode::kReference));
-  }
-}
-BENCHMARK(BM_FitAtomsL1Reference)
     ->Args({1024, 64})
     ->Args({4096, 64})
     ->Unit(benchmark::kMillisecond);
@@ -292,7 +230,7 @@ void BM_FitAtomsL1FastAdversarial(benchmark::State& state) {
       MakeDpBenchAtomsAdversarial(static_cast<size_t>(state.range(0)));
   const size_t k = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FitAtomsL1(atoms, k, FitDpMode::kFast));
+    benchmark::DoNotOptimize(FitAtomsL1(atoms, k));
   }
 }
 BENCHMARK(BM_FitAtomsL1FastAdversarial)
@@ -319,31 +257,16 @@ void BM_DistanceToHk(benchmark::State& state) {
 }
 BENCHMARK(BM_DistanceToHk)->Arg(1 << 10)->Arg(1 << 13);
 
-/// Candidate-evaluation rewrite: piecewise spans + prefix-mass index
-/// (kFast) versus dense O(n) candidate expansion (kReference), on a pmf
-/// large enough that the dense vectors dominate.
-void RunDistanceToHkModeBenchmark(benchmark::State& state, FitDpMode mode) {
+/// Piecewise candidate evaluation (spans + prefix-mass index, no O(n)
+/// candidate vectors) on a pmf large enough to coarsen before the DP.
+void BM_DistanceToHkFast(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto zipf = MakeZipf(n, 1.0).value();
-  HkDistanceOptions options;
-  options.mode = mode;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(DistanceToHk(zipf, 8, options));
+    benchmark::DoNotOptimize(DistanceToHk(zipf, 8));
   }
 }
-
-void BM_DistanceToHkFast(benchmark::State& state) {
-  RunDistanceToHkModeBenchmark(state, FitDpMode::kFast);
-}
 BENCHMARK(BM_DistanceToHkFast)
-    ->Arg(1 << 13)
-    ->Arg(1 << 16)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DistanceToHkReference(benchmark::State& state) {
-  RunDistanceToHkModeBenchmark(state, FitDpMode::kReference);
-}
-BENCHMARK(BM_DistanceToHkReference)
     ->Arg(1 << 13)
     ->Arg(1 << 16)
     ->Unit(benchmark::kMillisecond);

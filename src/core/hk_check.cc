@@ -38,8 +38,8 @@ Result<HkCheckResult> CheckCloseToHkOnSubdomain(
     // Everything was discarded: vacuously close.
     return HkCheckResult{true, DistanceBounds{0.0, 0.0}, HkBound::kGreedy};
   }
-  return DecideRestrictedDistanceToHk(
-      dhat, kept, k, options.threshold_fraction * eps, options.distance);
+  return DecideRestrictedDistanceToHk(dhat, kept, k,
+                                      options.threshold_fraction * eps);
 }
 
 }  // namespace histest

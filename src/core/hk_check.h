@@ -17,7 +17,6 @@ struct HkCheckOptions {
   /// constants; the calibrated default matches the calibrated learner
   /// accuracy (see HistogramTesterOptions).
   double threshold_fraction = 1.0 / 12.0;
-  HkDistanceOptions distance;
 };
 
 /// Outcome of the Step-10 check. `close` is the verdict and `decided_by`
@@ -28,7 +27,7 @@ struct HkCheckOptions {
 ///   above the threshold.
 /// - kGreedy (close): the same [witness, greedy + slack]; the greedy k-piece
 ///   fit minus the coarsening slack (slack is 0 unless the subdomain has
-///   more than dp_atom_limit atoms) is below the threshold.
+///   more than kHkDpAtomLimit atoms) is below the threshold.
 /// Both short-circuit brackets enclose the DP bracket. An empty subdomain is
 /// vacuously close with bracket [0, 0] and decided_by kGreedy: every fit
 /// costs nothing there.

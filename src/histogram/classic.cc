@@ -1,7 +1,6 @@
 #include "histogram/classic.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "common/math_util.h"
@@ -10,6 +9,10 @@
 
 namespace histest {
 namespace {
+
+/// Atom cap for the V-optimal histogram's L2 DP; longer run-length
+/// sequences are greedily coarsened to this many atoms first.
+constexpr size_t kVOptimalMaxAtoms = 4096;
 
 /// Builds the mass-preserving histogram over the partition given by
 /// bucket end positions.
@@ -69,8 +72,8 @@ Result<PiecewiseConstant> VOptimalHistogram(const Distribution& d, size_t k) {
     return Status::InvalidArgument("need 1 <= k <= n");
   }
   std::vector<WeightedAtom> atoms = AtomsFromDense(d.pmf());
-  if (atoms.size() > SegmentCostTable::kMaxAtoms) {
-    auto coarse = GreedyMergeAtoms(atoms, SegmentCostTable::kMaxAtoms);
+  if (atoms.size() > kVOptimalMaxAtoms) {
+    auto coarse = GreedyMergeAtoms(atoms, kVOptimalMaxAtoms);
     HISTEST_RETURN_IF_ERROR(coarse.status());
     atoms = std::move(coarse.value().atoms);
   }
@@ -79,11 +82,7 @@ Result<PiecewiseConstant> VOptimalHistogram(const Distribution& d, size_t k) {
   // Rebuild with mass-preserving piece averages of d (the L2-optimal value
   // per bucket is the mean, which is exactly the bucket mass spread
   // uniformly).
-  std::vector<size_t> offsets(atoms.size() + 1, 0);
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    offsets[i + 1] =
-        offsets[i] + static_cast<size_t>(std::llround(atoms[i].length));
-  }
+  const std::vector<size_t> offsets = AtomOffsets(atoms);
   std::vector<size_t> ends;
   const AtomFit& f = fit.value();
   for (size_t p = 1; p <= f.piece_values.size(); ++p) {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/kernels.h"
 #include "common/math_util.h"
 #include "histogram/fit_dp.h"
 #include "histogram/fit_merge.h"
@@ -20,17 +19,6 @@ Result<CoarsenResult> MaybeCoarsen(std::vector<WeightedAtom> atoms,
     return CoarsenResult{std::move(atoms), 0.0};
   }
   return GreedyMergeAtoms(atoms, limit);
-}
-
-/// Element offset of each atom (offsets[i] = first domain element of atom i;
-/// one trailing entry equal to the domain size).
-std::vector<size_t> AtomOffsets(const std::vector<WeightedAtom>& atoms) {
-  std::vector<size_t> offsets(atoms.size() + 1, 0);
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    offsets[i + 1] =
-        offsets[i] + static_cast<size_t>(std::llround(atoms[i].length));
-  }
-  return offsets;
 }
 
 /// L1 distance between a run-length-compressed target (atoms `orig` with
@@ -132,28 +120,27 @@ double WitnessLowerBoundTv(const std::vector<WeightedAtom>& atoms, size_t k) {
 
 }  // namespace
 
-Result<DistanceBounds> DistanceToHk(const Distribution& d, size_t k,
-                                    const HkDistanceOptions& options) {
+Result<DistanceBounds> DistanceToHk(const Distribution& d, size_t k) {
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
   const std::vector<WeightedAtom> orig_atoms = AtomsFromDense(d.pmf());
   // The witness bound is computed on the uncoarsened sequence: it stays
   // informative even when the coarsening error drowns the DP-based bound
   // (fine alternating patterns).
   const double witness = WitnessLowerBoundTv(orig_atoms, k);
-  // Coarsen in place only when needed; the fast path keeps the original
-  // sequence alive for the piecewise candidate evaluation below.
+  // Coarsen only when needed, keeping the original sequence alive for the
+  // piecewise candidate evaluation below.
   CoarsenResult coarse_storage;
   const std::vector<WeightedAtom>* dp_atoms = &orig_atoms;
   double slack = 0.0;
-  if (orig_atoms.size() > options.dp_atom_limit) {
-    auto coarse = GreedyMergeAtoms(orig_atoms, options.dp_atom_limit);
+  if (orig_atoms.size() > kHkDpAtomLimit) {
+    auto coarse = GreedyMergeAtoms(orig_atoms, kHkDpAtomLimit);
     HISTEST_RETURN_IF_ERROR(coarse.status());
     coarse_storage = std::move(coarse).value();
     dp_atoms = &coarse_storage.atoms;
     slack = coarse_storage.coarsening_error;
   }
 
-  auto fit = FitAtomsL1(*dp_atoms, k, options.mode);
+  auto fit = FitAtomsL1(*dp_atoms, k);
   HISTEST_RETURN_IF_ERROR(fit.status());
 
   // Lower bound: any D* in H_k is a non-negative k-piece function, so its L1
@@ -166,89 +153,39 @@ Result<DistanceBounds> DistanceToHk(const Distribution& d, size_t k,
   // Upper bound: exact TV to an explicit H_k member. Candidate (a):
   // mass-preserving averages over the fitted piece spans (always a valid
   // distribution). Candidate (b): the median-valued fit, renormalized, when
-  // it has positive mass.
-  double upper;
-  if (options.mode == FitDpMode::kReference) {
-    // Dense evaluation over the full domain, single-pass fused: each
-    // candidate is handed to the kernel as (piece value, piece end) runs,
-    // expanded in-register against d's pmf, so no O(n) candidate vector is
-    // ever materialized. Bit-identical to the former
-    // densify-then-L1Distance path: per-piece masses accumulate in the same
-    // KahanSum order as the dense scan did, and the fused kernel takes the
-    // unfused kernel's exact blocked summation order (|cand - d| vs
-    // |d - cand| under fabs is negation-exact).
-    const AtomFit& f = fit.value();
-    const std::vector<size_t> dp_offsets = AtomOffsets(*dp_atoms);
-    const size_t num_pieces = f.piece_values.size();
-    std::vector<size_t> bounds(num_pieces + 1);
-    for (size_t p = 0; p <= num_pieces; ++p) {
-      bounds[p] = dp_offsets[f.piece_starts[p]];
-    }
-    const std::vector<double>& pmf = d.pmf();
-    std::vector<double> avg_values(num_pieces);
+  // it has positive mass. Piece spans in element coordinates come from the
+  // DP-atom offsets; piece masses are O(1) via the shared prefix index; each
+  // candidate's L1 to d is one two-pointer sweep over the run-length-
+  // compressed target, so no O(n) candidate vector is materialized.
+  const AtomFit& f = fit.value();
+  const std::vector<size_t> orig_offsets = AtomOffsets(orig_atoms);
+  const std::vector<size_t> dp_offsets = AtomOffsets(*dp_atoms);
+  const size_t num_pieces = f.piece_values.size();
+  std::vector<size_t> bounds(num_pieces + 1);
+  for (size_t p = 0; p <= num_pieces; ++p) {
+    bounds[p] = dp_offsets[f.piece_starts[p]];
+  }
+  const PrefixMassIndex& index = d.PrefixIndex();
+  std::vector<double> avg_values(num_pieces);
+  for (size_t p = 0; p < num_pieces; ++p) {
+    avg_values[p] = index.MassOf(Interval{bounds[p], bounds[p + 1]}) /
+                    static_cast<double>(bounds[p + 1] - bounds[p]);
+  }
+  double upper =
+      0.5 * PiecewiseCandidateL1(orig_atoms, orig_offsets, bounds, avg_values);
+  KahanSum med_mass_acc;
+  for (size_t p = 0; p < num_pieces; ++p) {
+    med_mass_acc.Add(static_cast<double>(bounds[p + 1] - bounds[p]) *
+                     f.piece_values[p]);
+  }
+  const double med_mass = med_mass_acc.Total();
+  if (med_mass > 0.0) {
+    std::vector<double> med_values(num_pieces);
     for (size_t p = 0; p < num_pieces; ++p) {
-      KahanSum mass;
-      for (size_t i = bounds[p]; i < bounds[p + 1]; ++i) mass.Add(pmf[i]);
-      avg_values[p] =
-          mass.Total() / static_cast<double>(bounds[p + 1] - bounds[p]);
+      med_values[p] = f.piece_values[p] / med_mass;
     }
-    upper = 0.5 * FusedExpandL1Kernel(avg_values.data(), bounds.data() + 1,
-                                      num_pieces, pmf.data(), pmf.size());
-    // med_mass replicates the former SumOf over the densified candidate
-    // (a plain per-element KahanSum), adding each piece value once per
-    // covered element, so the normalization divisor is unchanged.
-    KahanSum med_mass_acc;
-    for (size_t p = 0; p < num_pieces; ++p) {
-      const double v = f.piece_values[p];
-      for (size_t i = bounds[p]; i < bounds[p + 1]; ++i) med_mass_acc.Add(v);
-    }
-    const double med_mass = med_mass_acc.Total();
-    if (med_mass > 0.0) {
-      std::vector<double> med_values(num_pieces);
-      for (size_t p = 0; p < num_pieces; ++p) {
-        med_values[p] = f.piece_values[p] / med_mass;
-      }
-      upper = std::min(
-          upper, 0.5 * FusedExpandL1Kernel(med_values.data(),
-                                           bounds.data() + 1, num_pieces,
-                                           pmf.data(), pmf.size()));
-    }
-  } else {
-    // Piecewise evaluation: piece spans in element coordinates come from
-    // the DP-atom offsets; piece masses are O(1) via the shared prefix
-    // index; each candidate's L1 to d is one two-pointer sweep over the
-    // run-length-compressed target. No O(n) candidate vectors.
-    const AtomFit& f = fit.value();
-    const std::vector<size_t> orig_offsets = AtomOffsets(orig_atoms);
-    const std::vector<size_t> dp_offsets = AtomOffsets(*dp_atoms);
-    const size_t num_pieces = f.piece_values.size();
-    std::vector<size_t> bounds(num_pieces + 1);
-    for (size_t p = 0; p <= num_pieces; ++p) {
-      bounds[p] = dp_offsets[f.piece_starts[p]];
-    }
-    const PrefixMassIndex& index = d.PrefixIndex();
-    std::vector<double> avg_values(num_pieces);
-    for (size_t p = 0; p < num_pieces; ++p) {
-      avg_values[p] = index.MassOf(Interval{bounds[p], bounds[p + 1]}) /
-                      static_cast<double>(bounds[p + 1] - bounds[p]);
-    }
-    upper = 0.5 * PiecewiseCandidateL1(orig_atoms, orig_offsets, bounds,
-                                       avg_values);
-    KahanSum med_mass_acc;
-    for (size_t p = 0; p < num_pieces; ++p) {
-      med_mass_acc.Add(static_cast<double>(bounds[p + 1] - bounds[p]) *
-                       f.piece_values[p]);
-    }
-    const double med_mass = med_mass_acc.Total();
-    if (med_mass > 0.0) {
-      std::vector<double> med_values(num_pieces);
-      for (size_t p = 0; p < num_pieces; ++p) {
-        med_values[p] = f.piece_values[p] / med_mass;
-      }
-      upper = std::min(upper, 0.5 * PiecewiseCandidateL1(
-                                        orig_atoms, orig_offsets, bounds,
-                                        med_values));
-    }
+    upper = std::min(upper, 0.5 * PiecewiseCandidateL1(orig_atoms, orig_offsets,
+                                                       bounds, med_values));
   }
   HISTEST_CHECK_GE(upper + 1e-12, lower);
   return DistanceBounds{lower, upper};
@@ -318,24 +255,23 @@ struct SubdomainProblem {
 };
 
 Result<SubdomainProblem> PrepareSubdomainProblem(
-    const PiecewiseConstant& dhat, const std::vector<Interval>& kept, size_t k,
-    const HkDistanceOptions& options) {
+    const PiecewiseConstant& dhat, const std::vector<Interval>& kept,
+    size_t k) {
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
   auto built = BuildSubdomainAtoms(dhat, kept);
   HISTEST_RETURN_IF_ERROR(built.status());
   std::vector<WeightedAtom> atoms = std::move(built).value();
   SubdomainProblem problem;
   problem.witness = WitnessLowerBoundTv(atoms, k);
-  auto coarse = MaybeCoarsen(std::move(atoms), options.dp_atom_limit);
+  auto coarse = MaybeCoarsen(std::move(atoms), kHkDpAtomLimit);
   HISTEST_RETURN_IF_ERROR(coarse.status());
   problem.coarse = std::move(coarse).value();
   return problem;
 }
 
 /// The exact bracket from the k-piece DP on the prepared sequence.
-Result<DistanceBounds> DpBounds(const SubdomainProblem& problem, size_t k,
-                                const HkDistanceOptions& options) {
-  auto fit = FitAtomsL1(problem.coarse.atoms, k, options.mode);
+Result<DistanceBounds> DpBounds(const SubdomainProblem& problem, size_t k) {
+  auto fit = FitAtomsL1(problem.coarse.atoms, k);
   HISTEST_RETURN_IF_ERROR(fit.status());
   const double dist = 0.5 * fit.value().l1_error;
   const double slack = problem.coarse.coarsening_error;
@@ -346,11 +282,11 @@ Result<DistanceBounds> DpBounds(const SubdomainProblem& problem, size_t k,
 }  // namespace
 
 Result<DistanceBounds> RestrictedDistanceToHkPieces(
-    const PiecewiseConstant& dhat, const std::vector<Interval>& kept, size_t k,
-    const HkDistanceOptions& options) {
-  auto problem = PrepareSubdomainProblem(dhat, kept, k, options);
+    const PiecewiseConstant& dhat, const std::vector<Interval>& kept,
+    size_t k) {
+  auto problem = PrepareSubdomainProblem(dhat, kept, k);
   HISTEST_RETURN_IF_ERROR(problem.status());
-  return DpBounds(problem.value(), k, options);
+  return DpBounds(problem.value(), k);
 }
 
 const char* HkBoundName(HkBound bound) {
@@ -367,8 +303,8 @@ const char* HkBoundName(HkBound bound) {
 
 Result<HkDecision> DecideRestrictedDistanceToHk(
     const PiecewiseConstant& dhat, const std::vector<Interval>& kept, size_t k,
-    double threshold, const HkDistanceOptions& options) {
-  auto prepared = PrepareSubdomainProblem(dhat, kept, k, options);
+    double threshold) {
+  auto prepared = PrepareSubdomainProblem(dhat, kept, k);
   HISTEST_RETURN_IF_ERROR(prepared.status());
   const SubdomainProblem& problem = prepared.value();
   const double slack = problem.coarse.coarsening_error;
@@ -392,7 +328,7 @@ Result<HkDecision> DecideRestrictedDistanceToHk(
   if (greedy - slack < threshold - kTieMargin) {
     return HkDecision{true, bracket, HkBound::kGreedy};
   }
-  auto bounds = DpBounds(problem, k, options);
+  auto bounds = DpBounds(problem, k);
   HISTEST_RETURN_IF_ERROR(bounds.status());
   return HkDecision{bounds.value().lower <= threshold, bounds.value(),
                     HkBound::kDp};

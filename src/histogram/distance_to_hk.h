@@ -21,19 +21,10 @@ struct DistanceBounds {
   double upper = 0.0;
 };
 
-struct HkDistanceOptions {
-  /// Maximum atom-sequence length handed to the exact k-piece DP; longer
-  /// sequences are first coarsened by greedy merging (the Lipschitz sandwich
-  /// then widens the returned bounds by the coarsening error).
-  size_t dp_atom_limit = 1024;
-  /// Engine selection. kFast (default) uses the pruned DP and evaluates
-  /// the candidate distances piecewise over atom spans -- no O(n)
-  /// dense candidate vectors are materialized. kReference uses the
-  /// exhaustive DP and dense candidate expansion; it is kept as the oracle
-  /// for equivalence tests (values agree to ~1e-12; summation orders
-  /// differ).
-  FitDpMode mode = FitDpMode::kFast;
-};
+/// Maximum atom-sequence length handed to the exact k-piece DP; longer
+/// sequences are first coarsened by greedy merging (the Lipschitz sandwich
+/// then widens the returned bounds by the coarsening error).
+inline constexpr size_t kHkDpAtomLimit = 1024;
 
 /// Bounds on d_TV(d, H_k): the distance from an explicit distribution to the
 /// class of k-histograms ([CDGR16, Lemma 4.11] offline computation).
@@ -43,9 +34,9 @@ struct HkDistanceOptions {
 /// the better of (a) the mass-preserving average-valued fit and (b) the
 /// normalized median-valued fit — both bona fide k-histogram distributions.
 /// When coarsening was needed, both bounds are widened by the (exact)
-/// coarsening error.
-Result<DistanceBounds> DistanceToHk(const Distribution& d, size_t k,
-                                    const HkDistanceOptions& options = {});
+/// coarsening error. Both candidates are evaluated piecewise over atom
+/// spans; no O(n) candidate vector is materialized.
+Result<DistanceBounds> DistanceToHk(const Distribution& d, size_t k);
 
 /// Step-10 subdomain check: bounds on
 ///   min over k-piece non-negative piecewise-constant F of
@@ -54,8 +45,7 @@ Result<DistanceBounds> DistanceToHk(const Distribution& d, size_t k,
 /// cost-free "gaps" that may host breakpoints. The `kept` intervals must be
 /// sorted, disjoint sub-intervals of dhat's domain.
 Result<DistanceBounds> RestrictedDistanceToHkPieces(
-    const PiecewiseConstant& dhat, const std::vector<Interval>& kept, size_t k,
-    const HkDistanceOptions& options = {});
+    const PiecewiseConstant& dhat, const std::vector<Interval>& kept, size_t k);
 
 /// Which bound settled a DecideRestrictedDistanceToHk call.
 enum class HkBound {
@@ -88,7 +78,7 @@ struct HkDecision {
 /// decides far, and a greedy k-piece merge fit below it decides close.
 Result<HkDecision> DecideRestrictedDistanceToHk(
     const PiecewiseConstant& dhat, const std::vector<Interval>& kept, size_t k,
-    double threshold, const HkDistanceOptions& options = {});
+    double threshold);
 
 /// Builds the weighted atom sequence of a piecewise hypothesis intersected
 /// with a kept-subdomain: kept spans carry their length as cost weight,

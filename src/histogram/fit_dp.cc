@@ -13,51 +13,6 @@
 namespace histest {
 namespace {
 
-/// Fenwick (binary indexed) tree over value ranks, supporting prefix sums
-/// and a prefix-threshold search; used for incremental weighted medians.
-class Fenwick {
- public:
-  explicit Fenwick(size_t n) : tree_(n + 1, 0.0) {}
-
-  void Add(size_t i, double v) {
-    for (size_t j = i + 1; j < tree_.size(); j += j & (~j + 1)) tree_[j] += v;
-  }
-
-  /// Sum of entries [0, i].
-  double PrefixSum(size_t i) const {
-    double s = 0.0;
-    for (size_t j = i + 1; j > 0; j -= j & (~j + 1)) s += tree_[j];
-    return s;
-  }
-
-  double Total() const { return PrefixSum(tree_.size() - 2); }
-
-  /// Smallest index i such that PrefixSum(i) >= target (assumes target <=
-  /// Total(); returns the last index otherwise).
-  size_t LowerBound(double target) const {
-    size_t pos = 0;
-    double acc = 0.0;
-    size_t pw = 1;
-    while ((pw << 1) < tree_.size()) pw <<= 1;
-    for (; pw > 0; pw >>= 1) {
-      const size_t next = pos + pw;
-      if (next < tree_.size() && acc + tree_[next] < target) {
-        pos = next;
-        // analyzer-allow(raw-accumulate): Fenwick rank descent; log(n)
-        // additions along a root-to-leaf path, not a loop reduction.
-        acc += tree_[next];
-      }
-    }
-    // pos is the count of entries strictly below the threshold position.
-    return std::min(pos, tree_.size() - 2);
-  }
-
-  void Clear() { std::fill(tree_.begin(), tree_.end(), 0.0); }
-
- private:
-  std::vector<double> tree_;
-};
-
 std::vector<double> DistinctSortedValues(const std::vector<WeightedAtom>& atoms) {
   std::vector<double> values;
   values.reserve(atoms.size());
@@ -73,8 +28,8 @@ size_t RankOf(const std::vector<double>& sorted, double v) {
 }
 
 /// Sentinel parent entry: this DP level reuses the previous level's solution
-/// (fewer pieces suffice). Parents are stored as 32-bit atom indices; both
-/// atom caps are far below 2^32.
+/// (fewer pieces suffice). Parents are stored as 32-bit atom indices; the
+/// atom cap is far below 2^32.
 constexpr uint32_t kNoNewPiece = std::numeric_limits<uint32_t>::max();
 
 /// How many scan probes the pruned DP requests per batched cost call; the
@@ -96,9 +51,10 @@ constexpr size_t kScanBlock = 4;
 /// four scalar Cost calls (each lane performs the same operations in the
 /// same order).
 ///
-/// The median rule matches the reference table exactly: descend to the
-/// smallest rank whose cumulative window weight reaches half the total
-/// (the same >= tie rule as Fenwick::LowerBound), accumulating the
+/// The median rule matches the exhaustive DP's cost table
+/// (tests/reference_fit_dp) exactly: descend to the smallest rank whose
+/// cumulative window weight reaches half the total (the same >= tie rule
+/// as that table's Fenwick::LowerBound), accumulating the
 /// <=-median weight and weight*value aggregates along the way; the cost
 ///   med*w_le - wv_le + (total_wv - wv_le) - med*(total_w - w_le)
 /// is then identical to the reference's on integer inputs (subtree sums
@@ -272,73 +228,6 @@ class PersistentRankTree {
   size_t pad_ = 1;               // rank universe padded to a power of two
 };
 
-}  // namespace
-
-SegmentCostTable::SegmentCostTable(const std::vector<WeightedAtom>& atoms)
-    : m_(atoms.size()), atoms_(&atoms) {
-  HISTEST_CHECK_GT(m_, 0u);
-  HISTEST_CHECK_LE(m_, kMaxAtoms);
-  cost_.assign(m_ * m_, 0.0);
-  const std::vector<double> values = DistinctSortedValues(atoms);
-  Fenwick weight(values.size());
-  Fenwick weighted_value(values.size());
-  for (size_t s = 0; s < m_; ++s) {
-    weight.Clear();
-    weighted_value.Clear();
-    for (size_t e = s; e < m_; ++e) {
-      const WeightedAtom& a = atoms[e];
-      if (a.cost_weight > 0.0) {
-        const size_t r = RankOf(values, a.value);
-        weight.Add(r, a.cost_weight);
-        weighted_value.Add(r, a.cost_weight * a.value);
-      }
-      const double total_w = weight.Total();
-      if (total_w <= 0.0) {
-        cost_[s * m_ + e] = 0.0;
-        continue;
-      }
-      const size_t med_rank = weight.LowerBound(0.5 * total_w);
-      const double med = values[med_rank];
-      const double w_le = weight.PrefixSum(med_rank);
-      const double s_le = weighted_value.PrefixSum(med_rank);
-      const double s_tot = weighted_value.Total();
-      const double cost = med * w_le - s_le + (s_tot - s_le) -
-                          med * (total_w - w_le);
-      // Tiny negative values can appear from float cancellation.
-      cost_[s * m_ + e] = std::max(cost, 0.0);
-    }
-  }
-}
-
-double SegmentCostTable::OptimalValue(size_t s, size_t e) const {
-  HISTEST_CHECK(s <= e && e < m_);
-  // Recompute the weighted median directly (O(len log len)); only called
-  // once per reconstructed piece.
-  std::vector<std::pair<double, double>> vw;
-  double total_w = 0.0;
-  for (size_t t = s; t <= e; ++t) {
-    const WeightedAtom& a = (*atoms_)[t];
-    if (a.cost_weight > 0.0) {
-      vw.emplace_back(a.value, a.cost_weight);
-      // analyzer-allow(raw-accumulate): running total over the filtered
-      // atoms, kept in scan order to match the in-DP median computation.
-      total_w += a.cost_weight;
-    }
-  }
-  if (vw.empty()) return 0.0;
-  std::sort(vw.begin(), vw.end());
-  double acc = 0.0;
-  for (const auto& [v, w] : vw) {
-    // analyzer-allow(raw-accumulate): weighted-median prefix scan with an
-    // early exit at half mass; a blocked reduction has no prefix to test.
-    acc += w;
-    if (acc >= 0.5 * total_w) return v;
-  }
-  return vw.back().first;
-}
-
-namespace {
-
 /// Walks the parent table backwards from (levels-1, m-1) and emits the
 /// fitted pieces. `total_cost` is the DP value at the final level;
 /// `optimal_value(s, e)` supplies the piece constant during reconstruction.
@@ -368,43 +257,6 @@ AtomFit ReconstructFit(size_t m, size_t levels, double total_cost,
   }
   fit.piece_starts.push_back(m);
   return fit;
-}
-
-/// Exhaustive DP over precomputed segment costs; returns the fit with <= k
-/// pieces minimizing total cost. Kept as the reference engine: the fast DP
-/// below must reproduce its costs and (under exact arithmetic) its
-/// boundaries, including tie-breaking -- each level records the *leftmost*
-/// argmin start, and only on strict improvement over the previous level.
-template <typename CostFn, typename ValueFn>
-AtomFit RunPieceDp(size_t m, size_t k, const CostFn& cost,
-                   const ValueFn& optimal_value) {
-  const size_t levels = std::min(k, m);
-  std::vector<double> prev(m), cur(m);
-  // parent[j][e]: start atom of the last piece at level j, or kNoNewPiece if
-  // level j reuses the level j-1 solution (fewer pieces suffice).
-  std::vector<std::vector<uint32_t>> parent(
-      levels, std::vector<uint32_t>(m, kNoNewPiece));
-  for (size_t e = 0; e < m; ++e) {
-    prev[e] = cost(0, e);
-    parent[0][e] = 0;
-  }
-  for (size_t j = 1; j < levels; ++j) {
-    for (size_t e = 0; e < m; ++e) {
-      double best = prev[e];
-      uint32_t best_s = kNoNewPiece;
-      for (size_t s = 1; s <= e; ++s) {
-        const double candidate = prev[s - 1] + cost(s, e);
-        if (candidate < best) {
-          best = candidate;
-          best_s = static_cast<uint32_t>(s);
-        }
-      }
-      cur[e] = best;
-      parent[j][e] = best_s;
-    }
-    std::swap(prev, cur);
-  }
-  return ReconstructFit(m, levels, prev[m - 1], parent, optimal_value);
 }
 
 /// One DP level computed by a cost-bounded backward window scan.
@@ -479,8 +331,9 @@ void RunPrunedLevel(size_t m, const std::vector<double>& prev,
   }
 }
 
-/// Pruned DP: same recurrence, costs, and tie-breaking as RunPieceDp, but
-/// each level scans only cost-bounded windows via RunPrunedLevel. Worst
+/// Pruned DP: same recurrence, costs, and tie-breaking as the exhaustive
+/// DP (tests/reference_fit_dp), but each level scans only cost-bounded
+/// windows via RunPrunedLevel. Worst
 /// case matches the exhaustive DP; on realistic inputs the scan stops after
 /// the local optimal piece length, giving near-linear levels.
 template <typename CostFn, typename BatchCostFn, typename ValueFn>
@@ -502,14 +355,14 @@ AtomFit RunPieceDpFast(size_t m, size_t k, const CostFn& cost,
   return ReconstructFit(m, levels, prev[m - 1], parent, optimal_value);
 }
 
-Status ValidateFitInput(const std::vector<WeightedAtom>& atoms, size_t k,
-                        size_t max_atoms) {
+Status ValidateFitInput(const std::vector<WeightedAtom>& atoms, size_t k) {
   if (atoms.empty()) return Status::InvalidArgument("atom sequence is empty");
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (atoms.size() > max_atoms) {
+  if (atoms.size() > kFitDpFastMaxAtoms) {
     return Status::InvalidArgument(
         "atom sequence too long for exact DP (" +
-        std::to_string(atoms.size()) + " > " + std::to_string(max_atoms) +
+        std::to_string(atoms.size()) + " > " +
+        std::to_string(kFitDpFastMaxAtoms) +
         "); coarsen with GreedyMergeAtoms first");
   }
   for (const auto& a : atoms) {
@@ -522,41 +375,14 @@ Status ValidateFitInput(const std::vector<WeightedAtom>& atoms, size_t k,
   return Status::Ok();
 }
 
-size_t ModeAtomCap(FitDpMode mode) {
-  return mode == FitDpMode::kReference ? SegmentCostTable::kMaxAtoms
-                                       : kFitDpFastMaxAtoms;
-}
-
 }  // namespace
 
-Result<AtomFit> FitAtomsL1(const std::vector<WeightedAtom>& atoms, size_t k,
-                           FitDpMode mode) {
-  HISTEST_RETURN_IF_ERROR(ValidateFitInput(atoms, k, ModeAtomCap(mode)));
-  // When tracing is on, the DP runs with probe-counting cost oracles so the
-  // fast engine's pruning can be compared against the reference's exhaustive
-  // scan. The plain-lambda paths below stay untouched in disabled mode, so
-  // the hot inner loops carry no counter increments.
-  if (mode == FitDpMode::kReference) {
-    const SegmentCostTable table(atoms);
-    if (!obs::Enabled()) {
-      return RunPieceDp(
-          atoms.size(), k,
-          [&](size_t s, size_t e) { return table.Cost(s, e); },
-          [&](size_t s, size_t e) { return table.OptimalValue(s, e); });
-    }
-    int64_t probes = 0;
-    AtomFit fit = RunPieceDp(
-        atoms.size(), k,
-        [&](size_t s, size_t e) {
-          ++probes;
-          return table.Cost(s, e);
-        },
-        [&](size_t s, size_t e) { return table.OptimalValue(s, e); });
-    obs::AddCount(obs::names::kFitDpL1ReferenceCostProbes, probes);
-    obs::AddCount(obs::names::kFitDpL1ReferenceCalls, 1);
-    return fit;
-  }
+Result<AtomFit> FitAtomsL1(const std::vector<WeightedAtom>& atoms, size_t k) {
+  HISTEST_RETURN_IF_ERROR(ValidateFitInput(atoms, k));
   const PersistentRankTree tree(atoms);
+  // The traced path counts probes in its cost oracles; the untraced path
+  // keeps plain lambdas, because a counter in the scan costs ~10% on
+  // BM_FitAtomsL1Fast even as a local.
   if (!obs::Enabled()) {
     return RunPieceDpFast(
         atoms.size(), k, [&](size_t s, size_t e) { return tree.Cost(s, e); },
@@ -565,13 +391,11 @@ Result<AtomFit> FitAtomsL1(const std::vector<WeightedAtom>& atoms, size_t k,
         },
         [&](size_t s, size_t e) { return tree.MedianValue(s, e); });
   }
-  int64_t probes = 0;
+  // Level 0 probes each of the m prefixes once; the pruned levels probe in
+  // blocks.
+  int64_t probes = static_cast<int64_t>(atoms.size());
   AtomFit fit = RunPieceDpFast(
-      atoms.size(), k,
-      [&](size_t s, size_t e) {
-        ++probes;
-        return tree.Cost(s, e);
-      },
+      atoms.size(), k, [&](size_t s, size_t e) { return tree.Cost(s, e); },
       [&](size_t s, size_t blk, size_t e, double* out) {
         probes += static_cast<int64_t>(blk);
         tree.CostBlock(s, blk, e, out);
@@ -582,12 +406,11 @@ Result<AtomFit> FitAtomsL1(const std::vector<WeightedAtom>& atoms, size_t k,
   return fit;
 }
 
-Result<AtomFit> FitAtomsL2(const std::vector<WeightedAtom>& atoms, size_t k,
-                           FitDpMode mode) {
-  HISTEST_RETURN_IF_ERROR(ValidateFitInput(atoms, k, ModeAtomCap(mode)));
+Result<AtomFit> FitAtomsL2(const std::vector<WeightedAtom>& atoms, size_t k) {
+  HISTEST_RETURN_IF_ERROR(ValidateFitInput(atoms, k));
   const size_t m = atoms.size();
-  // Prefix sums of weight, weight*value, weight*value^2. Both engines share
-  // these O(1) segment costs; only the DP differs.
+  // Prefix sums of weight, weight*value, weight*value^2 give O(1) segment
+  // costs.
   std::vector<double> w(m + 1, 0.0), wv(m + 1, 0.0), wvv(m + 1, 0.0);
   for (size_t i = 0; i < m; ++i) {
     const double cw = atoms[i].cost_weight;
@@ -607,7 +430,6 @@ Result<AtomFit> FitAtomsL2(const std::vector<WeightedAtom>& atoms, size_t k,
     const double sw = w[e + 1] - w[s];
     return sw > 0.0 ? (wv[e + 1] - wv[s]) / sw : 0.0;
   };
-  if (mode == FitDpMode::kReference) return RunPieceDp(m, k, cost, value);
   // Segment costs are O(1) here, so the batch hook is a plain loop.
   auto cost4 = [&](size_t s, size_t blk, size_t e, double* out) {
     for (size_t i = 0; i < blk; ++i) out[i] = cost(s - i, e);
@@ -628,23 +450,30 @@ std::vector<WeightedAtom> AtomsFromDense(const std::vector<double>& values) {
   return atoms;
 }
 
-Result<PiecewiseConstant> FitToPiecewise(const std::vector<WeightedAtom>& atoms,
-                                         const AtomFit& fit) {
-  if (fit.piece_starts.size() != fit.piece_values.size() + 1) {
-    return Status::InvalidArgument("malformed AtomFit");
-  }
-  // Element offset of each atom.
+std::vector<size_t> AtomOffsets(const std::vector<WeightedAtom>& atoms) {
   std::vector<size_t> offsets(atoms.size() + 1, 0);
   for (size_t i = 0; i < atoms.size(); ++i) {
     offsets[i + 1] =
         offsets[i] + static_cast<size_t>(std::llround(atoms[i].length));
   }
+  return offsets;
+}
+
+Result<PiecewiseConstant> FitToPiecewise(const std::vector<WeightedAtom>& atoms,
+                                         const AtomFit& fit) {
+  const std::vector<size_t>& starts = fit.piece_starts;
+  bool malformed = starts.size() != fit.piece_values.size() + 1 ||
+                   starts.front() != 0 || starts.back() != atoms.size();
+  for (size_t p = 1; !malformed && p < starts.size(); ++p) {
+    malformed = starts[p] <= starts[p - 1];
+  }
+  if (malformed) return Status::InvalidArgument("malformed AtomFit");
+  const std::vector<size_t> offsets = AtomOffsets(atoms);
   std::vector<PiecewiseConstant::Piece> pieces;
   for (size_t p = 0; p < fit.piece_values.size(); ++p) {
-    const size_t begin = offsets[fit.piece_starts[p]];
-    const size_t end = offsets[fit.piece_starts[p + 1]];
-    pieces.push_back(PiecewiseConstant::Piece{Interval{begin, end},
-                                              fit.piece_values[p]});
+    pieces.push_back(PiecewiseConstant::Piece{
+        Interval{offsets[starts[p]], offsets[starts[p + 1]]},
+        fit.piece_values[p]});
   }
   return PiecewiseConstant::Create(offsets.back(), std::move(pieces));
 }

@@ -34,87 +34,48 @@ struct AtomFit {
   double l1_error = 0.0;
 };
 
-/// DP engine selection for the k-piece fitting routines.
-enum class FitDpMode {
-  /// Cost-bounded pruned DP over a persistent (path-copied) weighted rank
-  /// tree: any segment cost is one stateless O(log V) version-difference
-  /// descent (V = distinct values), with no O(M^2) table, and the scan
-  /// fetches four probes at a time through interleaved descents to overlap
-  /// their memory latency. Each DP cell scans candidate piece starts
-  /// backward and stops as soon as cur[s-1] + Cost(s, e) exceeds the best
-  /// candidate — a valid bound for every remaining start because segment
-  /// costs are superadditive over concatenation (note they are NOT Monge
-  /// on domain-ordered values, so SMAWK-style argmin restriction would be
-  /// incorrect). Scans stop after roughly one optimal piece length:
-  /// ~O(k M L log V) for typical piece length L; the worst case degrades
-  /// toward the exhaustive scan but never builds the quadratic table.
-  /// Memory O(M log V) for the tree pool plus min(k, M) * M parent
-  /// entries. Produces the same cost and, under exact arithmetic, the same
-  /// piece boundaries as kReference (identical leftmost/strict-improvement
-  /// tie-breaking).
-  kFast,
-  /// Exhaustive DP over the precomputed O(M^2) SegmentCostTable:
-  /// O(M^2 (log M + k)) time, O(M^2) memory. Kept as the equivalence
-  /// oracle for property tests and as the baseline in bench_micro.
-  kReference,
-};
-
-/// Atom-count cap for FitDpMode::kFast (memory is the binding constraint:
+/// Atom-count cap for the k-piece DP (memory is the binding constraint:
 /// the parent table is min(k, M) * M 32-bit entries).
 inline constexpr size_t kFitDpFastMaxAtoms = size_t{1} << 18;
 
-/// Precomputed L1 segment costs over an atom sequence:
-/// Cost(s, e) = min_c sum_{t in [s, e]} cost_weight_t * |value_t - c|,
-/// i.e., the weighted-median fitting cost. Construction is
-/// O(M^2 log M) time and O(M^2) memory; M is capped (kMaxAtoms) so callers
-/// coarsen long sequences first (see fit_merge).
-class SegmentCostTable {
- public:
-  static constexpr size_t kMaxAtoms = 4096;
-
-  explicit SegmentCostTable(const std::vector<WeightedAtom>& atoms);
-
-  size_t num_atoms() const { return m_; }
-
-  /// Cost of fitting one constant to atoms [s, e] (inclusive). s <= e < M.
-  double Cost(size_t s, size_t e) const {
-    HISTEST_DCHECK(s <= e && e < m_);
-    return cost_[s * m_ + e];
-  }
-
-  /// The optimal constant (a weighted median) for atoms [s, e].
-  double OptimalValue(size_t s, size_t e) const;
-
- private:
-  size_t m_;
-  std::vector<double> cost_;
-  const std::vector<WeightedAtom>* atoms_;  // not owned; outlives the table
-};
-
 /// Exact best k-piece L1 fit over an atom sequence via dynamic programming.
-/// The default kFast mode uses the pruned DP (near-linear levels on
-/// realistic inputs); kReference is the exhaustive O(M^2 (log M + k)) DP.
-/// Both return the optimal fit; errors if
-/// the atom sequence is empty, k == 0, or M exceeds the mode's atom cap
-/// (SegmentCostTable::kMaxAtoms for kReference, kFitDpFastMaxAtoms for
-/// kFast).
-Result<AtomFit> FitAtomsL1(const std::vector<WeightedAtom>& atoms, size_t k,
-                           FitDpMode mode = FitDpMode::kFast);
+/// A cost-bounded pruned DP over a persistent (path-copied) weighted rank
+/// tree: any segment cost is one stateless O(log V) version-difference
+/// descent (V = distinct values), with no O(M^2) table, and the scan
+/// fetches four probes at a time through interleaved descents to overlap
+/// their memory latency. Each DP cell scans candidate piece starts
+/// backward and stops as soon as cur[s-1] + Cost(s, e) exceeds the best
+/// candidate — a valid bound for every remaining start because segment
+/// costs are superadditive over concatenation (note they are NOT Monge on
+/// domain-ordered values, so SMAWK-style argmin restriction would be
+/// incorrect). Scans stop after roughly one optimal piece length:
+/// ~O(k M L log V) for typical piece length L; the worst case degrades
+/// toward the exhaustive scan but never builds the quadratic table.
+/// Memory O(M log V) for the tree pool plus min(k, M) * M parent entries.
+/// Ties break like the exhaustive DP (leftmost piece start, a new piece
+/// only on strict improvement); tests/reference_fit_dp holds that DP as
+/// the equivalence oracle. Errors if the atom sequence is empty, k == 0,
+/// or M exceeds kFitDpFastMaxAtoms.
+Result<AtomFit> FitAtomsL1(const std::vector<WeightedAtom>& atoms, size_t k);
 
 /// Exact best k-piece L2 fit over an atom sequence (piece value = weighted
-/// mean; segment costs are O(1) from prefix sums in both modes, so the
-/// kFast pruned scans cost O(1) per probe). Same preconditions as
-/// FitAtomsL1.
+/// mean; segment costs are O(1) from prefix sums, so the pruned scans cost
+/// O(1) per probe). Same preconditions as FitAtomsL1.
 /// `l1_error` in the result holds the *L2 squared* error for this variant.
-Result<AtomFit> FitAtomsL2(const std::vector<WeightedAtom>& atoms, size_t k,
-                           FitDpMode mode = FitDpMode::kFast);
+Result<AtomFit> FitAtomsL2(const std::vector<WeightedAtom>& atoms, size_t k);
 
 /// Converts a dense target vector into unit atoms (run-length compressing
 /// equal adjacent values first).
 std::vector<WeightedAtom> AtomsFromDense(const std::vector<double>& values);
 
+/// Element offset of each atom: offsets[i] is the first domain element of
+/// atom i, with one trailing entry equal to the domain size.
+std::vector<size_t> AtomOffsets(const std::vector<WeightedAtom>& atoms);
+
 /// Converts an atom fit over `atoms` back into a piecewise-constant function
-/// over the original domain (atom lengths give element spans).
+/// over the original domain (atom lengths give element spans). Errors
+/// unless fit.piece_starts starts at 0, increases strictly and ends at
+/// atoms.size(), with one more entry than fit.piece_values.
 Result<PiecewiseConstant> FitToPiecewise(const std::vector<WeightedAtom>& atoms,
                                          const AtomFit& fit);
 

@@ -174,7 +174,7 @@ Result<CoarsenResult> GreedyMergeAtoms(const std::vector<WeightedAtom>& atoms,
 }
 
 Result<PiecewiseConstant> LearnMergedHistogram(const CountVector& counts,
-                                               size_t t, PieceValueRule rule) {
+                                               size_t t) {
   if (counts.total() == 0) {
     return Status::FailedPrecondition("cannot learn from zero samples");
   }
@@ -187,26 +187,16 @@ Result<PiecewiseConstant> LearnMergedHistogram(const CountVector& counts,
   auto coarse = GreedyMergeAtoms(atoms, t);
   HISTEST_RETURN_IF_ERROR(coarse.status());
 
-  // Rebuild piece boundaries (element offsets) from the coarsened lengths,
-  // choosing each piece's value per `rule`.
+  // Each coarsened atom becomes a piece valued at the empirical
+  // distribution's average over it, O(1) from the prefix index.
+  const std::vector<size_t> offsets = AtomOffsets(coarse.value().atoms);
   std::vector<PiecewiseConstant::Piece> pieces;
-  size_t cursor = 0;
-  for (const WeightedAtom& a : coarse.value().atoms) {
-    const size_t len = static_cast<size_t>(std::llround(a.length));
-    const Interval iv{cursor, cursor + len};
-    double value = a.value;  // kMedian: the merged run's weighted median
-    if (rule == PieceValueRule::kAverage) {
-      // Piece average of the empirical distribution (mass-preserving);
-      // O(1) per piece from the prefix index.
-      value = index.MassOf(iv) / static_cast<double>(len);
-    }
-    pieces.push_back(PiecewiseConstant::Piece{iv, value});
-    cursor += len;
+  for (size_t p = 0; p + 1 < offsets.size(); ++p) {
+    const Interval iv{offsets[p], offsets[p + 1]};
+    pieces.push_back(PiecewiseConstant::Piece{
+        iv, index.MassOf(iv) / static_cast<double>(iv.size())});
   }
-  auto pwc = PiecewiseConstant::Create(counts.size(), std::move(pieces));
-  HISTEST_RETURN_IF_ERROR(pwc.status());
-  if (rule == PieceValueRule::kAverage) return pwc;
-  return pwc.value().Normalized();
+  return PiecewiseConstant::Create(counts.size(), std::move(pieces));
 }
 
 }  // namespace histest

@@ -30,22 +30,14 @@ struct CoarsenResult {
 Result<CoarsenResult> GreedyMergeAtoms(const std::vector<WeightedAtom>& atoms,
                                        size_t target_count);
 
-/// How a learned piece's constant is chosen.
-enum class PieceValueRule {
-  /// Weighted median of the covered empirical values (optimal for L1).
-  kMedian,
-  /// Piece average (preserves each piece's total mass, so the result is
-  /// already normalized when learning from a distribution).
-  kAverage,
-};
-
 /// Agnostic histogram learner: builds the empirical distribution from
 /// `counts`, greedily merges it down to `t` pieces, and returns the
-/// normalized piecewise-constant hypothesis. With m = O(t / eps^2) samples
-/// this is an O(1)-approximate agnostic L1 learner for H_t.
-Result<PiecewiseConstant> LearnMergedHistogram(
-    const CountVector& counts, size_t t,
-    PieceValueRule rule = PieceValueRule::kAverage);
+/// piecewise-constant hypothesis valued at each piece's empirical average.
+/// Averages preserve every piece's mass, so the result is normalized. With
+/// m = O(t / eps^2) samples this is an O(1)-approximate agnostic L1 learner
+/// for H_t.
+Result<PiecewiseConstant> LearnMergedHistogram(const CountVector& counts,
+                                               size_t t);
 
 }  // namespace histest
 

@@ -89,8 +89,7 @@ Result<PiecewiseConstant> LearnKHistogramFromOracle(SampleOracle& oracle,
   const int64_t m = CeilToCount(sample_constant * static_cast<double>(k) /
                                 (eps * eps));
   const CountVector counts = oracle.DrawCounts(m);
-  return LearnMergedHistogram(counts, std::min(k, oracle.DomainSize()),
-                              PieceValueRule::kAverage);
+  return LearnMergedHistogram(counts, std::min(k, oracle.DomainSize()));
 }
 
 }  // namespace histest

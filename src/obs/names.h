@@ -72,15 +72,14 @@
   X(kOracleCountsDense, "histest.oracle.counts_dense", counter,                \
     "DrawCounts calls that produced a dense CountVector")                      \
   /* ---- fit DP cost probes (src/histogram/fit_dp.cc) ---- */                 \
+  /* No longer emitted; the next benchmark change drops it (bench/e2e). */     \
   X(kFitDpL1ReferenceCostProbes,                                               \
     "histest.fit_dp.l1.reference.cost_probes", counter,                        \
-    "segment-cost evaluations in the reference L1 fit DP")                     \
-  X(kFitDpL1ReferenceCalls, "histest.fit_dp.l1.reference.calls", counter,      \
-    "reference-mode FitAtomsL1 invocations")                                   \
+    "no longer emitted: the reference L1 fit DP moved to tests/")              \
   X(kFitDpL1FastCostProbes, "histest.fit_dp.l1.fast.cost_probes", counter,     \
-    "rank-tree cost probes in the fast L1 fit DP")                             \
+    "rank-tree cost probes in the L1 fit DP")                                  \
   X(kFitDpL1FastCalls, "histest.fit_dp.l1.fast.calls", counter,                \
-    "fast-mode FitAtomsL1 invocations")                                        \
+    "FitAtomsL1 invocations")                                                  \
   /* ---- kernel entry points (src/common/kernels.cc) ---- */                  \
   X(kKernelL1DistanceCalls, "histest.kernel.l1_distance.calls", counter,       \
     "L1Distance calls")                                                        \

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
+#include "histogram/distance_to_hk.h"
 
 namespace histest {
 
@@ -26,7 +27,7 @@ Result<DistanceEstimate> EstimateDistanceToHk(
   const CountVector counts = oracle.DrawCounts(m);
   auto empirical = counts.ToEmpirical();
   HISTEST_RETURN_IF_ERROR(empirical.status());
-  auto bounds = DistanceToHk(empirical.value(), k, options.distance);
+  auto bounds = DistanceToHk(empirical.value(), k);
   HISTEST_RETURN_IF_ERROR(bounds.status());
   DistanceEstimate estimate;
   estimate.lower = std::max(0.0, bounds.value().lower - alpha);

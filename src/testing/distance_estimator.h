@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "common/status.h"
-#include "histogram/distance_to_hk.h"
 #include "testing/tester.h"
 
 namespace histest {
@@ -27,7 +26,6 @@ struct DistanceEstimatorOptions {
   /// norms.
   double sample_constant = 8.0;
   double delta = 0.1;
-  HkDistanceOptions distance;
 };
 
 /// Estimates the distance from the unknown distribution to the class H_k

@@ -60,8 +60,7 @@ Result<TestOutcome> LearnThenVerifyHistogramTest(SampleOracle& oracle,
       options.learn_constant * static_cast<double>(k) / (eps * eps * eps));
   const int64_t m_learn = std::min(3 * budget / 5, learn_cap);
   const CountVector learn_counts = oracle.DrawCounts(m_learn);
-  auto dhat = LearnMergedHistogram(learn_counts, std::min(2 * k, n),
-                                   PieceValueRule::kAverage);
+  auto dhat = LearnMergedHistogram(learn_counts, std::min(2 * k, n));
   HISTEST_RETURN_IF_ERROR(dhat.status());
 
   // Stage 2: offline distance check of the hypothesis.

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
+#include "histogram/distance_to_hk.h"
 
 namespace histest {
 
@@ -24,7 +25,7 @@ Result<TestOutcome> NaiveHistogramTester::Test(SampleOracle& oracle) {
   const CountVector counts = oracle.DrawCounts(m);
   auto empirical = counts.ToEmpirical();
   HISTEST_RETURN_IF_ERROR(empirical.status());
-  auto bounds = DistanceToHk(empirical.value(), k_, options_.distance);
+  auto bounds = DistanceToHk(empirical.value(), k_);
   HISTEST_RETURN_IF_ERROR(bounds.status());
   const double mid = 0.5 * (bounds.value().lower + bounds.value().upper);
   TestOutcome outcome;

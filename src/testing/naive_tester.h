@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "histogram/distance_to_hk.h"
 #include "testing/tester.h"
 
 namespace histest {
@@ -17,7 +16,6 @@ namespace histest {
 struct NaiveTesterOptions {
   /// m = sample_constant * n / eps^2.
   double sample_constant = 4.0;
-  HkDistanceOptions distance;
 };
 
 class NaiveHistogramTester : public DistributionTester {

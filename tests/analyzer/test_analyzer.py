@@ -454,24 +454,6 @@ class SuppressionTest(unittest.TestCase):
         checkers = sorted(f.checker for f in res.findings)
         self.assertEqual(checkers, ["bad-suppression", "raw-accumulate"])
 
-    def test_legacy_lint_determinism_comment_maps_to_checker(self):
-        root = make_tree([])
-        try:
-            f = root / "src" / "core" / "legacy.cc"
-            f.parent.mkdir(parents=True, exist_ok=True)
-            f.write_text(
-                "double S(const double* v, int n) {\n"
-                "  double t = 0.0;\n"
-                "  for (int i = 0; i < n; ++i) {\n"
-                "    t += v[i];  // lint-determinism: allow(raw-accumulate)\n"
-                "  }\n"
-                "  return t;\n"
-                "}\n")
-            res = engine.run_scan(root, backend="internal")
-            self.assertEqual(res.findings, [])
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-
     def test_allowlist_suppresses_whole_file(self):
         res = scan(["raw_accumulate_bad.cc"],
                    checkers=["raw-accumulate"],
@@ -645,25 +627,6 @@ class RepoCleanTest(unittest.TestCase):
     def test_repository_scan_is_clean(self):
         proc = run_cli(["--root", str(REPO_ROOT), "--backend", "internal"])
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
-
-class WrapperTest(unittest.TestCase):
-    def test_lint_determinism_wrapper_clean_on_repo(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / "lint_determinism.py"),
-             "--root", str(REPO_ROOT)],
-            capture_output=True, text=True)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
-    def test_lint_determinism_wrapper_list_rules(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / "lint_determinism.py"),
-             "--list-rules"],
-            capture_output=True, text=True)
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        for rule in ("raw-rng", "time-seed", "static-state",
-                     "raw-accumulate"):
-            self.assertIn(rule, proc.stdout)
 
 
 if __name__ == "__main__":

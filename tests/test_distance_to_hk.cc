@@ -9,6 +9,7 @@
 #include "dist/generators.h"
 #include "dist/perturb.h"
 #include "histogram/fit_merge.h"
+#include "reference_fit_dp.h"
 
 namespace histest {
 namespace {
@@ -66,20 +67,6 @@ TEST(DistanceToHkTest, CertifiedFarInstancesAreBracketed) {
   EXPECT_GE(bounds.value().lower, 0.1);
 }
 
-TEST(DistanceToHkTest, CoarseningKeepsBoundsValid) {
-  // Force coarsening with a tiny dp_atom_limit and check the bracket still
-  // contains the uncoarsened value.
-  const auto zipf = MakeZipf(512, 1.0).value();
-  auto exact = DistanceToHk(zipf, 4);
-  ASSERT_TRUE(exact.ok());
-  HkDistanceOptions coarse_opts;
-  coarse_opts.dp_atom_limit = 32;
-  auto coarse = DistanceToHk(zipf, 4, coarse_opts);
-  ASSERT_TRUE(coarse.ok());
-  EXPECT_LE(coarse.value().lower, exact.value().upper + 1e-9);
-  EXPECT_GE(coarse.value().upper, exact.value().lower - 1e-9);
-}
-
 TEST(DistanceToHkTest, RejectsKZero) {
   EXPECT_FALSE(DistanceToHk(Distribution::UniformOver(8), 0).ok());
 }
@@ -130,17 +117,14 @@ TEST(RestrictedDistanceTest, WitnessBoundSurvivesCoarsening) {
   // but greedy coarsening to the DP limit erases that structure and the
   // DP-minus-slack lower bound collapses to 0. The witness oscillation
   // bound must keep the lower bound sharp.
-  const size_t n = 4096;
+  const size_t n = 4096;  // one atom per element, > kHkDpAtomLimit
   std::vector<PiecewiseConstant::Piece> pieces;
   for (size_t i = 0; i < n; i += 2) {
     pieces.push_back({Interval{i, i + 1}, 1.5 / n});
     pieces.push_back({Interval{i + 1, i + 2}, 0.5 / n});
   }
   const auto zigzag = PiecewiseConstant::Create(n, std::move(pieces)).value();
-  HkDistanceOptions options;
-  options.dp_atom_limit = 128;  // force aggressive coarsening
-  auto bounds = RestrictedDistanceToHkPieces(zigzag, {Interval{0, n}}, 32,
-                                             options);
+  auto bounds = RestrictedDistanceToHkPieces(zigzag, {Interval{0, n}}, 32);
   ASSERT_TRUE(bounds.ok());
   // True distance ~0.25 (each of ~2048 pairs contributes 0.5/n to TV, all
   // but 31 must be paid); the witness bound must recover most of it.
@@ -150,37 +134,24 @@ TEST(RestrictedDistanceTest, WitnessBoundSurvivesCoarsening) {
 
 TEST(DistanceToHkTest, WitnessBoundOnDenseAlternatingInstance) {
   // Same regression through the dense entry point.
-  const size_t n = 4096;
+  const size_t n = 4096;  // one atom per element, > kHkDpAtomLimit
   std::vector<double> pmf(n);
   for (size_t i = 0; i < n; ++i) {
     pmf[i] = (i % 2 == 0 ? 1.5 : 0.5) / static_cast<double>(n);
   }
   const auto d = Distribution::Create(std::move(pmf)).value();
-  HkDistanceOptions options;
-  options.dp_atom_limit = 128;
-  auto bounds = DistanceToHk(d, 32, options);
+  auto bounds = DistanceToHk(d, 32);
   ASSERT_TRUE(bounds.ok());
   EXPECT_GE(bounds.value().lower, 0.15);
 }
 
-/// Dense-expansion oracle for the fast upper bound: reruns the fast-mode
-/// fit, expands both candidates (per-piece averages of d, and the
-/// normalized median fit) into full O(n) vectors, and evaluates each TV
-/// with L1Distance — exactly what reference mode does, but on the *same*
-/// fit the fast path used, so the comparison isolates the piecewise
-/// candidate evaluation from DP tie-breaking.
-double DenseUpperBoundOracle(const Distribution& d, size_t k,
-                             size_t dp_atom_limit) {
-  std::vector<WeightedAtom> atoms = AtomsFromDense(d.pmf());
-  if (atoms.size() > dp_atom_limit) {
-    atoms = GreedyMergeAtoms(atoms, dp_atom_limit).value().atoms;
-  }
-  const AtomFit fit = FitAtomsL1(atoms, k, FitDpMode::kFast).value();
-  std::vector<size_t> offsets(atoms.size() + 1, 0);
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    offsets[i + 1] =
-        offsets[i] + static_cast<size_t>(std::llround(atoms[i].length));
-  }
+/// Expands both DistanceToHk upper-bound candidates of `fit` over `atoms`
+/// (per-piece averages of d, and the normalized median fit) into full O(n)
+/// vectors and returns the smaller TV, each computed with L1Distance.
+double DenseUpperBound(const Distribution& d,
+                       const std::vector<WeightedAtom>& atoms,
+                       const AtomFit& fit) {
+  const std::vector<size_t> offsets = AtomOffsets(atoms);
   const size_t num_pieces = fit.piece_values.size();
   std::vector<double> avg(d.size()), med(d.size());
   double med_mass = 0.0;
@@ -203,67 +174,95 @@ double DenseUpperBoundOracle(const Distribution& d, size_t k,
   return upper;
 }
 
-/// Regression for the PR-3 rewrite on seed-grid-style workloads. The fast
-/// and reference DPs always agree on the optimal cost (=> `lower` matches
-/// to 1e-12), and the piecewise candidate evaluation must reproduce the
-/// dense expansion of the same fit to 1e-12. Cross-mode `upper` equality
-/// additionally holds whenever the optimum is unique; the tie-heavy
-/// far-perturbed instance is excluded from that check because the two
-/// engines may legitimately pick different equal-cost piece boundaries
-/// (different candidates, both optimal).
+/// Dense-expansion oracle for DistanceToHk's upper bound: reruns the fit
+/// on the atoms coarsened to kHkDpAtomLimit, the *same* fit DistanceToHk
+/// runs, so the comparison isolates the piecewise candidate evaluation
+/// from DP tie-breaking.
+double DenseUpperBoundOracle(const Distribution& d, size_t k) {
+  std::vector<WeightedAtom> atoms = AtomsFromDense(d.pmf());
+  if (atoms.size() > kHkDpAtomLimit) {
+    atoms = GreedyMergeAtoms(atoms, kHkDpAtomLimit).value().atoms;
+  }
+  return DenseUpperBound(d, atoms, FitAtomsL1(atoms, k).value());
+}
+
+TEST(DistanceToHkTest, CoarseningKeepsBoundsValid) {
+  // A Zipf pmf has one atom per element, so this domain is coarsened before
+  // the DP; the bracket must still contain the uncoarsened bracket's
+  // values, computed here by the DP and the dense oracle on all atoms.
+  const auto zipf = MakeZipf(kHkDpAtomLimit + kHkDpAtomLimit / 4, 1.0).value();
+  const std::vector<WeightedAtom> atoms = AtomsFromDense(zipf.pmf());
+  ASSERT_GT(atoms.size(), kHkDpAtomLimit);
+  const AtomFit exact = FitAtomsL1(atoms, 4).value();
+  const double exact_lower = 0.5 * exact.l1_error;
+  const double exact_upper = DenseUpperBound(zipf, atoms, exact);
+  auto coarse = DistanceToHk(zipf, 4);
+  ASSERT_TRUE(coarse.ok());
+  EXPECT_LE(coarse.value().lower, exact_upper + 1e-9);
+  EXPECT_GE(coarse.value().upper, exact_lower - 1e-9);
+  EXPECT_GT(GreedyMergeAtoms(atoms, kHkDpAtomLimit).value().coarsening_error,
+            0.0);
+}
+
+/// The witness lower bound DistanceToHk computes for `d`, read off the
+/// Step-10 decision on the whole domain: its atoms are d's run-length
+/// atoms, and a threshold of 2 is decided by the greedy bound, whose
+/// bracket starts at the witness.
+double WitnessOf(const Distribution& d, size_t k) {
+  const HkDecision decision =
+      DecideRestrictedDistanceToHk(PiecewiseConstant::FromDistribution(d),
+                                   {Interval{0, d.size()}}, k, 2.0)
+          .value();
+  EXPECT_EQ(decision.decided_by, HkBound::kGreedy);
+  return decision.bounds.lower;
+}
+
+/// On seed-grid-style workloads `lower` is max(witness, DP bound), where
+/// the DP bound from the exhaustive reference DP on the same (coarsened)
+/// atoms agrees to 1e-12, and `upper` reproduces the dense expansion of
+/// the same fit to 1e-12.
 TEST(DistanceToHkTest, FastMatchesReferenceOnSeedWorkloads) {
   Rng rng(42);
   struct Workload {
     const char* name;
     Distribution dist;
-    bool tie_free;
   };
   std::vector<Workload> workloads;
-  workloads.push_back({"uniform", Distribution::UniformOver(512), true});
-  workloads.push_back({"zipf", MakeZipf(512, 1.0).value(), true});
+  workloads.push_back({"uniform", Distribution::UniformOver(512)});
+  workloads.push_back({"zipf", MakeZipf(512, 1.0).value()});
   workloads.push_back(
-      {"staircase", MakeStaircase(512, 8).value().ToDistribution().value(),
-       true});
+      {"staircase", MakeStaircase(512, 8).value().ToDistribution().value()});
   workloads.push_back(
       {"random-khist",
-       MakeRandomKHistogram(512, 8, rng).value().ToDistribution().value(),
-       true});
+       MakeRandomKHistogram(512, 8, rng).value().ToDistribution().value()});
   workloads.push_back(
       {"staircase-far",
-       MakeFarFromHk(MakeStaircase(512, 8).value(), 8, 0.2, rng).value().dist,
-       false});
-  workloads.push_back({"point-mass", Distribution::PointMass(512, 100), true});
-  HkDistanceOptions reference;
-  reference.mode = FitDpMode::kReference;
+       MakeFarFromHk(MakeStaircase(512, 8).value(), 8, 0.2, rng).value().dist});
+  workloads.push_back({"point-mass", Distribution::PointMass(512, 100)});
+  // Also through the coarsening path: one atom per element.
+  workloads.push_back({"zipf-coarsened", MakeZipf(2 * kHkDpAtomLimit, 1.0)
+                                             .value()});
   for (const auto& w : workloads) {
+    std::vector<WeightedAtom> atoms = AtomsFromDense(w.dist.pmf());
+    double slack = 0.0;
+    if (atoms.size() > kHkDpAtomLimit) {
+      CoarsenResult coarse = GreedyMergeAtoms(atoms, kHkDpAtomLimit).value();
+      atoms = std::move(coarse.atoms);
+      slack = coarse.coarsening_error;
+    }
     for (const size_t k : {size_t{1}, size_t{4}, size_t{8}}) {
       auto fast = DistanceToHk(w.dist, k);
-      auto ref = DistanceToHk(w.dist, k, reference);
+      auto ref = ReferenceFitAtomsL1(atoms, k);
       ASSERT_TRUE(fast.ok() && ref.ok()) << w.name;
-      EXPECT_NEAR(fast.value().lower, ref.value().lower, 1e-12)
+      const double dp_lower = 0.5 * ref.value().l1_error - slack;
+      EXPECT_NEAR(fast.value().lower,
+                  std::max(WitnessOf(w.dist, k), dp_lower), 1e-12)
           << w.name << " k=" << k;
       EXPECT_NEAR(fast.value().upper,
-                  DenseUpperBoundOracle(w.dist, k, HkDistanceOptions{}.dp_atom_limit),
-                  1e-12)
+                  DenseUpperBoundOracle(w.dist, k), 1e-12)
           << w.name << " k=" << k;
-      if (w.tie_free) {
-        EXPECT_NEAR(fast.value().upper, ref.value().upper, 1e-12)
-            << w.name << " k=" << k;
-      }
     }
   }
-  // Also through the coarsening path (dp_atom_limit below the atom count).
-  HkDistanceOptions coarse_fast, coarse_ref;
-  coarse_fast.dp_atom_limit = 64;
-  coarse_ref.dp_atom_limit = 64;
-  coarse_ref.mode = FitDpMode::kReference;
-  const Distribution& zipf = workloads[1].dist;
-  auto fast = DistanceToHk(zipf, 4, coarse_fast);
-  auto ref = DistanceToHk(zipf, 4, coarse_ref);
-  ASSERT_TRUE(fast.ok() && ref.ok());
-  EXPECT_NEAR(fast.value().lower, ref.value().lower, 1e-12);
-  EXPECT_NEAR(fast.value().upper, ref.value().upper, 1e-12);
-  EXPECT_NEAR(fast.value().upper, DenseUpperBoundOracle(zipf, 4, 64), 1e-12);
 }
 
 TEST(RestrictedDistanceTest, DiscardingEverythingCostsNothing) {

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "common/rng.h"
+#include "reference_fit_dp.h"
 
 namespace histest {
 namespace {
@@ -78,11 +79,13 @@ TEST(FitAtomsL1Test, ValidatesInput) {
   EXPECT_FALSE(FitAtomsL1({{1.0, 1.0, 1.0}}, 0).ok());
   EXPECT_FALSE(FitAtomsL1({{1.0, 0.5, 1.0}}, 1).ok());   // length < 1
   EXPECT_FALSE(FitAtomsL1({{1.0, 1.0, -1.0}}, 1).ok());  // negative weight
-  // Each engine enforces its own atom cap.
-  std::vector<WeightedAtom> too_long_for_table(SegmentCostTable::kMaxAtoms + 1,
-                                               {1.0, 1.0, 1.0});
-  EXPECT_FALSE(FitAtomsL1(too_long_for_table, 2, FitDpMode::kReference).ok());
-  EXPECT_TRUE(FitAtomsL1(too_long_for_table, 2, FitDpMode::kFast).ok());
+  // One atom past the cap is rejected before any tree is built.
+  const std::vector<WeightedAtom> too_long(kFitDpFastMaxAtoms + 1,
+                                           {1.0, 1.0, 1.0});
+  const auto rejected = FitAtomsL1(too_long, 2);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(FitAtomsL2(too_long, 2).ok());
 }
 
 TEST(FitAtomsL1Test, PerfectFitWhenPiecesSuffice) {
@@ -138,8 +141,8 @@ TEST(FitAtomsL1Test, MonotoneInK) {
   }
 }
 
-/// Property test for the tentpole engine swap: the pruned DP must agree
-/// with the exhaustive reference DP. On small-integer grids every sum is
+/// The pruned DP must agree with the exhaustive reference DP
+/// (tests/reference_fit_dp). On small-integer grids every sum is
 /// exact in double, so costs AND piece boundaries (identical tie-breaking)
 /// must match exactly, including instances dense with ties and zero-weight
 /// gap atoms.
@@ -159,8 +162,8 @@ TEST(FitDpEquivalenceTest, ExactOnIntegerGrids) {
     }
     for (const size_t k : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
                            size_t{8}, m}) {
-      auto fast = FitAtomsL1(atoms, k, FitDpMode::kFast);
-      auto ref = FitAtomsL1(atoms, k, FitDpMode::kReference);
+      auto fast = FitAtomsL1(atoms, k);
+      auto ref = ReferenceFitAtomsL1(atoms, k);
       ASSERT_TRUE(fast.ok() && ref.ok());
       EXPECT_EQ(fast.value().l1_error, ref.value().l1_error)
           << "trial " << trial << " m " << m << " k " << k;
@@ -169,8 +172,8 @@ TEST(FitDpEquivalenceTest, ExactOnIntegerGrids) {
       EXPECT_EQ(fast.value().piece_values, ref.value().piece_values)
           << "trial " << trial << " m " << m << " k " << k;
 
-      auto fast2 = FitAtomsL2(atoms, k, FitDpMode::kFast);
-      auto ref2 = FitAtomsL2(atoms, k, FitDpMode::kReference);
+      auto fast2 = FitAtomsL2(atoms, k);
+      auto ref2 = ReferenceFitAtomsL2(atoms, k);
       ASSERT_TRUE(fast2.ok() && ref2.ok());
       EXPECT_EQ(fast2.value().l1_error, ref2.value().l1_error)
           << "L2 trial " << trial << " m " << m << " k " << k;
@@ -180,7 +183,7 @@ TEST(FitDpEquivalenceTest, ExactOnIntegerGrids) {
   }
 }
 
-/// On arbitrary real values the two engines sum in different orders, so
+/// On arbitrary real values the two DPs sum in different orders, so
 /// costs agree to rounding only.
 TEST(FitDpEquivalenceTest, CostsAgreeOnRandomReals) {
   Rng rng(2025);
@@ -193,8 +196,8 @@ TEST(FitDpEquivalenceTest, CostsAgreeOnRandomReals) {
       a.cost_weight = rng.UniformDouble() < 0.1 ? 0.0 : rng.UniformDouble();
     }
     for (const size_t k : {size_t{1}, size_t{3}, size_t{7}}) {
-      auto fast = FitAtomsL1(atoms, k, FitDpMode::kFast);
-      auto ref = FitAtomsL1(atoms, k, FitDpMode::kReference);
+      auto fast = FitAtomsL1(atoms, k);
+      auto ref = ReferenceFitAtomsL1(atoms, k);
       ASSERT_TRUE(fast.ok() && ref.ok());
       EXPECT_NEAR(fast.value().l1_error, ref.value().l1_error, 1e-9)
           << "trial " << trial << " m " << m << " k " << k;
@@ -209,8 +212,8 @@ TEST(FitDpEquivalenceTest, DegenerateSequences) {
   const std::vector<WeightedAtom> constant(50, {0.25, 1.0, 1.0});
   for (const auto* atoms : {&all_gaps, &constant}) {
     for (const size_t k : {size_t{1}, size_t{4}}) {
-      auto fast = FitAtomsL1(*atoms, k, FitDpMode::kFast);
-      auto ref = FitAtomsL1(*atoms, k, FitDpMode::kReference);
+      auto fast = FitAtomsL1(*atoms, k);
+      auto ref = ReferenceFitAtomsL1(*atoms, k);
       ASSERT_TRUE(fast.ok() && ref.ok());
       EXPECT_EQ(fast.value().l1_error, ref.value().l1_error);
       EXPECT_EQ(fast.value().piece_starts, ref.value().piece_starts);
@@ -255,6 +258,25 @@ TEST(FitToPiecewiseTest, ExpandsAtomLengths) {
   EXPECT_EQ(pwc.value().domain_size(), 5u);
   EXPECT_DOUBLE_EQ(pwc.value().ValueAt(1), 0.5);
   EXPECT_DOUBLE_EQ(pwc.value().ValueAt(2), 0.25);
+}
+
+TEST(FitToPiecewiseTest, RejectsMalformedFits) {
+  const std::vector<WeightedAtom> atoms = {
+      {0.5, 2.0, 2.0}, {0.25, 3.0, 3.0}, {0.125, 1.0, 1.0}};
+  AtomFit not_from_zero;
+  not_from_zero.piece_starts = {1, 2, 3};
+  not_from_zero.piece_values = {0.5, 0.25};
+  AtomFit not_increasing;
+  not_increasing.piece_starts = {0, 2, 2, 3};
+  not_increasing.piece_values = {0.5, 0.25, 0.125};
+  AtomFit past_the_end;  // an unchecked index reads far outside the offsets
+  past_the_end.piece_starts = {0, 1, size_t{1} << 40};
+  past_the_end.piece_values = {0.5, 0.25};
+  for (const AtomFit* fit : {&not_from_zero, &not_increasing, &past_the_end}) {
+    const auto pwc = FitToPiecewise(atoms, *fit);
+    ASSERT_FALSE(pwc.ok());
+    EXPECT_EQ(pwc.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(FitHistogramL1Test, EndToEndOnDenseTarget) {

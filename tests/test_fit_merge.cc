@@ -120,12 +120,5 @@ TEST(LearnMergedHistogramTest, RecoversTrueHistogram) {
   EXPECT_LT(tv, 0.05);
 }
 
-TEST(LearnMergedHistogramTest, MedianRuleIsNormalized) {
-  const CountVector cv = CountVector::FromCounts({10, 1, 1, 10});
-  auto h = LearnMergedHistogram(cv, 2, PieceValueRule::kMedian);
-  ASSERT_TRUE(h.ok());
-  EXPECT_NEAR(h.value().TotalMass(), 1.0, 1e-9);
-}
-
 }  // namespace
 }  // namespace histest

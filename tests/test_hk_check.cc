@@ -144,35 +144,40 @@ PiecewiseConstant RandomHypothesis(Rng& rng, size_t n, int family) {
 TEST(DecideRestrictedDistanceToHkTest, SameVerdictAsExactBracket) {
   Rng rng(20231017);
   std::array<int, 3> branches = {0, 0, 0};
+  bool coarsened = false;
   for (int trial = 0; trial < 240; ++trial) {
-    const size_t n = size_t{64} << rng.UniformInt(3);
+    // Every 40th trial spreads the hypothesis over 2048 fine pieces, more
+    // than kHkDpAtomLimit atoms when noisy, so the DP runs on a coarsened
+    // sequence and the slack is non-zero. A DP over the full atom limit
+    // costs up to ~k M^2 probes, so those trials are few and cap k.
+    const bool wide = trial % 40 == 0;
+    const size_t n =
+        wide ? 4 * kHkDpAtomLimit : size_t{64} << rng.UniformInt(3);
     const PiecewiseConstant dhat = RandomHypothesis(rng, n, trial % 3);
-    const size_t k = 1 + rng.UniformInt(32);
+    const size_t k = 1 + rng.UniformInt(wide ? 3 : 32);
     const Partition p = Partition::EquiWidth(n, n / 8);
     const double keep = (trial % 4 == 0) ? 1.0 : 0.5 + 0.4 * rng.UniformDouble();
     std::vector<bool> active(p.NumIntervals());
     for (size_t j = 0; j < active.size(); ++j) active[j] = rng.Bernoulli(keep);
     const std::vector<Interval> kept = ActiveSubdomain(p, active);
     if (kept.empty()) continue;
-    HkDistanceOptions options;
-    // Every fifth trial coarsens before the DP, so the slack is non-zero.
-    if (trial % 5 == 0) options.dp_atom_limit = 8 + rng.UniformInt(24);
     SCOPED_TRACE(::testing::Message() << "trial " << trial << " n=" << n
                                       << " k=" << k);
 
     const DistanceBounds exact =
-        RestrictedDistanceToHkPieces(dhat, kept, k, options).value();
+        RestrictedDistanceToHkPieces(dhat, kept, k).value();
     // The cheap bounds, recomputed the way the decision computes them.
     const auto atoms = BuildSubdomainAtoms(dhat, kept).value();
     CoarsenResult coarse{atoms, 0.0};
-    if (atoms.size() > options.dp_atom_limit) {
-      coarse = GreedyMergeAtoms(atoms, options.dp_atom_limit).value();
+    if (atoms.size() > kHkDpAtomLimit) {
+      coarse = GreedyMergeAtoms(atoms, kHkDpAtomLimit).value();
     }
     const double slack = coarse.coarsening_error;
+    coarsened = coarsened || slack > 0.0;
     const double greedy =
         0.5 * GreedyMergeAtoms(coarse.atoms, k).value().coarsening_error;
     const double witness =
-        DecideRestrictedDistanceToHk(dhat, kept, k, -1.0, options)
+        DecideRestrictedDistanceToHk(dhat, kept, k, -1.0)
             .value()
             .bounds.lower;
     const double dp = exact.upper - slack;
@@ -186,7 +191,7 @@ TEST(DecideRestrictedDistanceToHkTest, SameVerdictAsExactBracket) {
     }
     for (const double thr : thresholds) {
       const HkDecision d =
-          DecideRestrictedDistanceToHk(dhat, kept, k, thr, options).value();
+          DecideRestrictedDistanceToHk(dhat, kept, k, thr).value();
       ++branches[static_cast<size_t>(d.decided_by)];
       EXPECT_EQ(d.close, exact.lower <= thr) << "thr=" << thr;
       EXPECT_LE(d.bounds.lower, exact.lower);
@@ -198,6 +203,7 @@ TEST(DecideRestrictedDistanceToHkTest, SameVerdictAsExactBracket) {
     }
     if (HasFailure()) return;
   }
+  EXPECT_TRUE(coarsened);
   EXPECT_GT(branches[static_cast<size_t>(HkBound::kWitness)], 0);
   EXPECT_GT(branches[static_cast<size_t>(HkBound::kGreedy)], 0);
   EXPECT_GT(branches[static_cast<size_t>(HkBound::kDp)], 0);

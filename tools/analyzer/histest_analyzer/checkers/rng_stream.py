@@ -17,7 +17,7 @@ Four families of violation:
      many workers the host has.
 
 This checker subsumes the raw-rng and time-seed rules of the retired
-regex lint (tools/lint_determinism.py now wraps this analyzer).
+regex lint.
 """
 
 from __future__ import annotations

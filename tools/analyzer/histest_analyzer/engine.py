@@ -33,19 +33,6 @@ EXCLUDED_DIRS = ("tests/analyzer/fixtures",)
 ALLOW_COMMENT = re.compile(
     r"analyzer-allow\(([a-z][a-z0-9-]*)\)\s*(?::\s*(.*))?")
 
-# Legacy spelling kept working so the determinism lint's wrapper contract
-# is a strict superset of the old tool's (reason optional there).
-LEGACY_ALLOW_COMMENT = re.compile(
-    r"lint-determinism:\s*allow\(([a-z][a-z0-9-]*)\)\s*(.*)")
-
-# Old regex-lint rule ids -> the checkers that subsume them.
-LEGACY_RULE_MAP = {
-    "raw-rng": "rng-stream",
-    "time-seed": "rng-stream",
-    "static-state": "static-state",
-    "raw-accumulate": "raw-accumulate",
-}
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -145,30 +132,25 @@ def extract_suppressions(lexed, lines: list[str]):
     sups: list[Suppression] = []
     bad: list[tuple[int, str]] = []
     for comment in lexed.comments:
-        for pattern, reason_required in ((ALLOW_COMMENT, True),
-                                         (LEGACY_ALLOW_COMMENT, False)):
-            for m in pattern.finditer(comment.text):
-                checker = m.group(1)
-                if not reason_required:
-                    checker = LEGACY_RULE_MAP.get(checker, checker)
-                reason = (m.group(2) or "").strip()
-                if reason_required and not reason:
-                    bad.append((comment.line, checker))
-                    continue
-                target = comment.line
-                # A comment alone on its line suppresses the next code
-                # line, skipping continuation comment lines in between so
-                # multi-line reasons work.
-                line_text = lines[comment.line - 1] \
-                    if comment.line <= len(lines) else ""
-                before = line_text[:comment.col - 1]
-                if not before.strip():
-                    target = comment.line + 1
-                    while target <= len(lines) and \
-                            lines[target - 1].lstrip().startswith("//"):
-                        target += 1
-                sups.append(Suppression(checker, target, reason,
-                                        comment.line))
+        for m in ALLOW_COMMENT.finditer(comment.text):
+            checker = m.group(1)
+            reason = (m.group(2) or "").strip()
+            if not reason:
+                bad.append((comment.line, checker))
+                continue
+            target = comment.line
+            # A comment alone on its line suppresses the next code line,
+            # skipping continuation comment lines in between so multi-line
+            # reasons work.
+            line_text = lines[comment.line - 1] \
+                if comment.line <= len(lines) else ""
+            before = line_text[:comment.col - 1]
+            if not before.strip():
+                target = comment.line + 1
+                while target <= len(lines) and \
+                        lines[target - 1].lstrip().startswith("//"):
+                    target += 1
+            sups.append(Suppression(checker, target, reason, comment.line))
     return sups, bad
 
 
