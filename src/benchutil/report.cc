@@ -29,27 +29,9 @@ TraceRunGuard::TraceRunGuard(
     const std::string& id, bool enable, const std::string& out_path,
     std::vector<std::pair<std::string, std::string>> params)
     : out_path_(out_path), was_enabled_(obs::Enabled()) {
-  // Post-mortem and live-metrics plumbing run independently of tracing:
-  // the recorder and publisher have their own env gates, so a daemon-style
-  // run can keep them on with span collection off.
+  // Post-mortem plumbing runs independently of tracing: the recorder has
+  // its own env gate, so a run can keep it on with span collection off.
   obs::FlightRecorder::InitFromEnv();
-  const EnvValue<std::string> metrics_out =
-      ParseEnvString("HISTEST_METRICS_OUT", "");
-  if (metrics_out.present && !metrics_out.value.empty()) {
-    const EnvValue<int64_t> interval =
-        ParseEnvInt("HISTEST_METRICS_INTERVAL_MS", 1, 3600000, 1000);
-    obs::MetricsPublisher::Options opts;
-    opts.interval_ms = interval.valid ? interval.value : 1000;
-    opts.jsonl_path = metrics_out.value;
-    opts.openmetrics_path = metrics_out.value + ".om";
-    publisher_ = std::make_unique<obs::MetricsPublisher>(std::move(opts));
-    const Status pub_status = publisher_->Start();
-    if (!pub_status.ok()) {
-      std::fprintf(stderr, "histest: metrics publisher: %s\n",
-                   pub_status.ToString().c_str());
-      publisher_.reset();
-    }
-  }
   const bool env_enable = obs::InitFromEnv();
   if (!enable && !env_enable && !was_enabled_) return;
   obs::SetEnabled(true);
@@ -66,12 +48,6 @@ TraceRunGuard::TraceRunGuard(
 }
 
 TraceRunGuard::~TraceRunGuard() {
-  if (publisher_ != nullptr) {
-    publisher_->Stop();
-    std::fprintf(stderr,
-                 "histest: metrics: wrote %lld snapshots (publisher)\n",
-                 static_cast<long long>(publisher_->SnapshotCount()));
-  }
   if (obs::FlightRecorder::Enabled()) {
     const EnvValue<std::string> dump_path = ParseEnvString(
         "HISTEST_FLIGHT_RECORDER_OUT", "histest_flight_recorder.jsonl");

@@ -37,10 +37,7 @@ void PrintNote(const std::string& note);
 ///
 /// Independent of tracing, the guard also initializes the flight recorder
 /// from HISTEST_FLIGHT_RECORDER (dumping its rings on destruction so CI
-/// runs leave a post-mortem artifact even without a crash) and, when
-/// HISTEST_METRICS_OUT names a path, runs a background MetricsPublisher
-/// for the duration of the run (JSONL to that path, OpenMetrics text to
-/// "<path>.om", interval from HISTEST_METRICS_INTERVAL_MS, default 1000).
+/// runs leave a post-mortem artifact even without a crash).
 class TraceRunGuard {
  public:
   TraceRunGuard(const std::string& id, bool enable,
@@ -58,7 +55,6 @@ class TraceRunGuard {
   bool was_enabled_ = false;
   std::unique_ptr<obs::TraceSession> session_;
   std::unique_ptr<obs::ScopedTraceActivation> activation_;
-  std::unique_ptr<obs::MetricsPublisher> publisher_;
 };
 
 }  // namespace histest

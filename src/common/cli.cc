@@ -173,9 +173,6 @@ std::vector<EnvKnob> SnapshotEnvKnobs() {
       "HISTEST_BENCH_SCALE",
       "HISTEST_FLIGHT_RECORDER",
       "HISTEST_FLIGHT_RECORDER_OUT",
-      "HISTEST_METRICS_INTERVAL_MS",
-      "HISTEST_METRICS_OUT",
-      "HISTEST_SPARSE_THRESHOLD",
       "HISTEST_THREADS",
       "HISTEST_TRACE",
   };

@@ -40,10 +40,13 @@ bool NearlyEqual(double a, double b, double tol);
 /// Bit-for-bit floating-point equality, spelled out. Use this instead of a
 /// raw `==`/`!=` when exactness *is* the contract — sentinel values
 /// (`p == 0.0`), DP tie-breaking that must match the reference
-/// implementation, rejection-sampling guards — so the intent is explicit
-/// and the float-compare analyzer check stays quiet. For tolerant
-/// comparison use NearlyEqual.
+/// implementation, rejection-sampling guards — so the intent is explicit.
+/// The build's -Wfloat-equal flags every other raw compare; this is the one
+/// place it is switched off. For tolerant comparison use NearlyEqual.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfloat-equal"
 constexpr inline bool ExactlyEqual(double a, double b) { return a == b; }
+#pragma GCC diagnostic pop
 
 /// Clamps `v` into [lo, hi].
 double Clamp(double v, double lo, double hi);

@@ -1,9 +1,7 @@
 #ifndef HISTEST_COMMON_MUTEX_H_
 #define HISTEST_COMMON_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 #include <shared_mutex>
 #include <utility>
@@ -130,25 +128,6 @@ class CondVar {
     std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
     cv_.wait(native, std::move(pred));
     native.release();
-  }
-
-  /// Blocks until notified or `timeout_ms` elapses; returns true when the
-  /// wait ended by notification (or spuriously), false on timeout. Used by
-  /// periodic background threads (the metrics publisher) to sleep
-  /// interruptibly: a shutdown notify wakes the thread immediately instead
-  /// of waiting out the interval. Callers re-check their condition under
-  /// `mu` after return (spurious wakeups are possible, exactly as with
-  /// Wait). Deliberately predicate-free: condition reads stay in the
-  /// caller's scope where the thread-safety analysis can see the held
-  /// capability. The deadline arithmetic lives inside
-  /// std::condition_variable (steady clock); no caller-visible clock read
-  /// happens here.
-  bool WaitForMillis(Mutex& mu, int64_t timeout_ms) HISTEST_REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    const std::cv_status status =
-        cv_.wait_for(native, std::chrono::milliseconds(timeout_ms));
-    native.release();
-    return status == std::cv_status::no_timeout;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <span>
 #include <sstream>
+#include <utility>
 
 #include "common/arena.h"
-#include "common/check.h"
 #include "common/math_util.h"
 #include "obs/obs.h"
 #include "obs/names.h"
@@ -31,103 +30,128 @@ HistogramTesterOptions HistogramTesterOptions::PaperFaithful() {
   return o;
 }
 
-HistogramTester::HistogramTester(size_t k, double eps,
-                                 HistogramTesterOptions options, uint64_t seed)
-    : k_(k), eps_(eps), options_(options), rng_(seed) {
-  HISTEST_CHECK_GE(k_, 1u);
-  HISTEST_CHECK_GT(eps_, 0.0);
-  HISTEST_CHECK_LE(eps_, 1.0);
-  HISTEST_CHECK_GT(options_.sample_scale, 0.0);
+namespace {
+
+/// A stage's names: its StageReport label, trace span and
+/// samples_drawn counter (none for the offline check).
+struct StageNames {
+  const char* stage;
+  const char* span;
+  const char* counter;
+};
+
+constexpr StageNames kApproxPartStage{"approx_part",
+                                      obs::names::kSpanStageApproxPart,
+                                      obs::names::kStageApproxPartSamplesDrawn};
+constexpr StageNames kLearnerStage{"learner", obs::names::kSpanStageLearner,
+                                   obs::names::kStageLearnerSamplesDrawn};
+constexpr StageNames kSieveStage{"sieve", obs::names::kSpanStageSieve,
+                                 obs::names::kStageSieveSamplesDrawn};
+constexpr StageNames kCheckStage{"check", obs::names::kSpanStageCheck,
+                                 nullptr};
+constexpr StageNames kFinalStage{"final", obs::names::kSpanStageFinal,
+                                 obs::names::kStageFinalSamplesDrawn};
+
+/// Runs one stage under its span and accounts for it: the span's
+/// samples_drawn annotation, the stage counter and, when the stage
+/// succeeds, its StageReport with the info `describe` gives for the result.
+template <typename Run, typename Describe>
+auto RunStage(const StageNames& names, SampleOracle& oracle,
+              HistogramTestReport& report, Run run, Describe describe)
+    -> decltype(run()) {
+  const int64_t start = oracle.SamplesDrawn();
+  auto result = [&] {
+    obs::TraceSpan span(names.span);
+    auto r = run();
+    span.AnnotateInt("samples_drawn", oracle.SamplesDrawn() - start);
+    return r;
+  }();
+  const int64_t drawn = oracle.SamplesDrawn() - start;
+  if (names.counter != nullptr) obs::AddCount(names.counter, drawn);
+  if (result.ok()) {
+    report.stages.push_back(
+        StageReport{names.stage, drawn, describe(result.value())});
+  }
+  return result;
 }
 
-Result<TestOutcome> HistogramTester::Test(SampleOracle& oracle) {
-  auto report = TestWithReport(oracle);
-  HISTEST_RETURN_IF_ERROR(report.status());
-  TestOutcome outcome;
-  outcome.verdict = report.value().verdict;
-  outcome.samples_used = report.value().samples_total;
-  std::ostringstream detail;
-  detail << "decided_by=" << report.value().decided_by
-         << " K=" << report.value().partition_size
-         << " removed=" << report.value().removed_intervals;
-  outcome.detail = detail.str();
-  return outcome;
+Status ValidateSpec(const Algorithm1Spec& spec) {
+  if (!(spec.eps > 0.0 && spec.eps <= 1.0)) {
+    return Status::InvalidArgument("eps must be in (0, 1]");
+  }
+  if (spec.pieces < 1) return Status::InvalidArgument("k must be >= 1");
+  const double scale = spec.stages.sample_scale;
+  if (!(std::isfinite(scale) && scale > 0.0)) {
+    return Status::InvalidArgument("sample_scale must be finite and positive");
+  }
+  return Status::Ok();
 }
 
-Result<HistogramTestReport> HistogramTester::TestWithReport(
-    SampleOracle& oracle) {
+}  // namespace
+
+Result<HistogramTestReport> RunAlgorithm1(SampleOracle& oracle,
+                                          const Algorithm1Spec& spec,
+                                          Rng& rng) {
+  HISTEST_RETURN_IF_ERROR(ValidateSpec(spec));
   const size_t n = oracle.DomainSize();
+  const double eps = spec.eps;
   HistogramTestReport report;
   const int64_t drawn_start = oracle.SamplesDrawn();
 
   // Root span for the whole run; stage spans nest under it. Inert (and the
   // helpers below are one load + branch each) unless tracing is enabled.
-  obs::TraceSpan test_span(obs::names::kSpanHistogramTest);
+  obs::TraceSpan test_span(spec.span_name);
   test_span.AnnotateInt("n", static_cast<int64_t>(n));
-  test_span.AnnotateInt("k", static_cast<int64_t>(k_));
-  test_span.AnnotateDouble("eps", eps_);
-  const auto finish = [&](const HistogramTestReport& r) {
-    test_span.AnnotateString("verdict", VerdictToString(r.verdict));
-    test_span.AnnotateString("decided_by", r.decided_by);
-    test_span.AnnotateInt("samples_total", r.samples_total);
+  test_span.AnnotateInt("k", static_cast<int64_t>(spec.pieces));
+  test_span.AnnotateDouble("eps", eps);
+  const auto finish = [&](Verdict verdict, const char* decided_by) {
+    report.verdict = verdict;
+    report.decided_by = decided_by;
+    report.samples_total = oracle.SamplesDrawn() - drawn_start;
+    test_span.AnnotateString("verdict", VerdictToString(report.verdict));
+    test_span.AnnotateString("decided_by", report.decided_by);
+    test_span.AnnotateInt("samples_total", report.samples_total);
     obs::AddCount(obs::names::kTesterRuns, 1);
+    return std::move(report);
   };
 
-  // Trivial regime: every distribution over [0, n) is an n-histogram.
-  if (k_ >= n) {
-    report.verdict = Verdict::kAccept;
-    report.decided_by = "trivial";
+  if (spec.pieces >= n) {
     report.stages.push_back(StageReport{"trivial", 0, "k >= n"});
-    finish(report);
-    return report;
+    return finish(Verdict::kAccept, "trivial");
   }
 
   // Apply the global sample scale to every stage's budget.
-  HistogramTesterOptions opts = options_;
+  StageOptions opts = spec.stages;
   opts.approx_part.sample_constant *= opts.sample_scale;
   opts.learner.sample_constant *= opts.sample_scale;
   opts.sieve.sample_constant *= opts.sample_scale;
   opts.final_test.sample_constant *= opts.sample_scale;
 
-  // --- Step 1-3: ApproxPart. ---
-  const double kd = static_cast<double>(k_);
-  double b = opts.partition_b_constant * kd * std::log2(kd + 1.0) / eps_;
-  b = std::max(1.0, std::min(b, static_cast<double>(n)));
-  int64_t stage_start = oracle.SamplesDrawn();
-  std::optional<obs::TraceSpan> stage_span;
-  stage_span.emplace(obs::names::kSpanStageApproxPart);
-  auto partition = ApproxPartition(oracle, b, opts.approx_part);
-  {
-    const int64_t drawn = oracle.SamplesDrawn() - stage_start;
-    stage_span->AnnotateInt("samples_drawn", drawn);
-    stage_span.reset();
-    obs::AddCount(obs::names::kStageApproxPartSamplesDrawn, drawn);
-  }
+  // --- Steps 1-3: ApproxPart. ---
+  const double b = std::max(1.0, std::min(spec.b, static_cast<double>(n)));
+  auto partition = RunStage(
+      kApproxPartStage, oracle, report,
+      [&] { return ApproxPartition(oracle, b, opts.approx_part); },
+      [&](const Partition& p) {
+        std::ostringstream info;
+        info << "b=" << b << " K=" << p.NumIntervals();
+        return info.str();
+      });
   HISTEST_RETURN_IF_ERROR(partition.status());
   report.partition_size = partition.value().NumIntervals();
-  {
-    std::ostringstream info;
-    info << "b=" << b << " K=" << partition.value().NumIntervals();
-    report.stages.push_back(StageReport{
-        "approx_part", oracle.SamplesDrawn() - stage_start, info.str()});
-  }
 
   // --- Step 4: chi-square learner. ---
-  stage_start = oracle.SamplesDrawn();
-  const double eps_learn = opts.learner_eps_fraction * eps_;
-  stage_span.emplace(obs::names::kSpanStageLearner);
-  auto dhat = LearnHistogramChiSquare(oracle, partition.value(), eps_learn,
-                                      opts.learner);
-  {
-    const int64_t drawn = oracle.SamplesDrawn() - stage_start;
-    stage_span->AnnotateInt("samples_drawn", drawn);
-    stage_span.reset();
-    obs::AddCount(obs::names::kStageLearnerSamplesDrawn, drawn);
-  }
+  const double eps_learn = opts.learner_eps_fraction * eps;
+  auto dhat = RunStage(
+      kLearnerStage, oracle, report,
+      [&] {
+        return LearnHistogramChiSquare(oracle, partition.value(), eps_learn,
+                                       opts.learner);
+      },
+      [&](const PiecewiseConstant&) {
+        return "eps_l=" + std::to_string(eps_learn);
+      });
   HISTEST_RETURN_IF_ERROR(dhat.status());
-  report.stages.push_back(StageReport{
-      "learner", oracle.SamplesDrawn() - stage_start,
-      "eps_l=" + std::to_string(eps_learn)});
   // The hypothesis's dense expansion is the run's dominant O(n) temporary;
   // it comes from the thread's scratch arena, so repeated Test() calls on
   // one thread (the trial loop) reuse the same retained chunks instead of
@@ -142,79 +166,91 @@ Result<HistogramTestReport> HistogramTester::TestWithReport(
                 static_cast<int64_t>(arena.bytes_reserved()));
 
   // --- Steps 6-8: sieving. ---
-  stage_start = oracle.SamplesDrawn();
-  stage_span.emplace(obs::names::kSpanStageSieve);
-  auto sieve = SieveIntervals(oracle, dstar, partition.value(), k_, eps_,
-                              opts.sieve, rng_);
-  {
-    const int64_t drawn = oracle.SamplesDrawn() - stage_start;
-    stage_span->AnnotateInt("samples_drawn", drawn);
-    stage_span.reset();
-    obs::AddCount(obs::names::kStageSieveSamplesDrawn, drawn);
-  }
+  auto sieve = RunStage(
+      kSieveStage, oracle, report,
+      [&] {
+        return SieveIntervals(oracle, dstar, partition.value(), spec.pieces,
+                              eps, opts.sieve, rng);
+      },
+      [](const SieveResult& r) { return r.detail; });
   HISTEST_RETURN_IF_ERROR(sieve.status());
   report.removed_intervals =
       sieve.value().removed_heavy + sieve.value().removed_iterative;
-  report.stages.push_back(StageReport{"sieve",
-                                      oracle.SamplesDrawn() - stage_start,
-                                      sieve.value().detail});
-  if (sieve.value().rejected) {
-    report.verdict = Verdict::kReject;
-    report.decided_by = "sieve";
-    report.samples_total = oracle.SamplesDrawn() - drawn_start;
-    finish(report);
-    return report;
-  }
+  if (sieve.value().rejected) return finish(Verdict::kReject, "sieve");
 
-  // --- Step 10: offline closeness check on the kept subdomain. ---
-  stage_span.emplace(obs::names::kSpanStageCheck);
-  auto check = CheckCloseToHkOnSubdomain(dhat.value(), partition.value(),
-                                         sieve.value().active, k_, eps_,
-                                         opts.check);
-  stage_span->AnnotateInt("samples_drawn", 0);
-  stage_span.reset();
+  // --- Step 10: offline projection check on the kept subdomain. ---
+  auto check = RunStage(
+      kCheckStage, oracle, report,
+      [&] {
+        return spec.check(dhat.value(), partition.value(),
+                          sieve.value().active);
+      },
+      [](const ProjectionCheck& c) { return c.info; });
   HISTEST_RETURN_IF_ERROR(check.status());
-  {
-    std::ostringstream info;
-    info << "dist(Dhat,Hk|G) in [" << check.value().bounds.lower << ", "
-         << check.value().bounds.upper << "] threshold="
-         << opts.check.threshold_fraction * eps_ << " decided_by="
-         << HkBoundName(check.value().decided_by);
-    report.stages.push_back(StageReport{"check", 0, info.str()});
-  }
-  if (!check.value().close) {
-    report.verdict = Verdict::kReject;
-    report.decided_by = "check";
-    report.samples_total = oracle.SamplesDrawn() - drawn_start;
-    finish(report);
-    return report;
-  }
+  if (!check.value().close) return finish(Verdict::kReject, "check");
 
   // --- Step 13: restricted [ADK15] identity test against the hypothesis. --
-  stage_start = oracle.SamplesDrawn();
-  const double eps_final = opts.final_eps_fraction * eps_;
+  const double eps_final = opts.final_eps_fraction * eps;
   const double m_final = opts.final_test.sample_constant *
                          std::sqrt(static_cast<double>(n)) /
                          (eps_final * eps_final);
-  stage_span.emplace(obs::names::kSpanStageFinal);
-  auto final_outcome = AdkRestrictedIdentityTest(
-      oracle, dstar, partition.value(), sieve.value().active, eps_final,
-      m_final, opts.final_test, rng_);
-  {
-    const int64_t drawn = oracle.SamplesDrawn() - stage_start;
-    stage_span->AnnotateInt("samples_drawn", drawn);
-    stage_span.reset();
-    obs::AddCount(obs::names::kStageFinalSamplesDrawn, drawn);
-  }
+  auto final_outcome = RunStage(
+      kFinalStage, oracle, report,
+      [&] {
+        return AdkRestrictedIdentityTest(oracle, dstar, partition.value(),
+                                         sieve.value().active, eps_final,
+                                         m_final, opts.final_test, rng);
+      },
+      [](const TestOutcome& o) { return o.detail; });
   HISTEST_RETURN_IF_ERROR(final_outcome.status());
-  report.stages.push_back(StageReport{"final",
-                                      oracle.SamplesDrawn() - stage_start,
-                                      final_outcome.value().detail});
-  report.verdict = final_outcome.value().verdict;
-  report.decided_by = "final";
-  report.samples_total = oracle.SamplesDrawn() - drawn_start;
-  finish(report);
-  return report;
+  return finish(final_outcome.value().verdict, "final");
+}
+
+TestOutcome OutcomeOf(const HistogramTestReport& report) {
+  TestOutcome outcome;
+  outcome.verdict = report.verdict;
+  outcome.samples_used = report.samples_total;
+  std::ostringstream detail;
+  detail << "decided_by=" << report.decided_by
+         << " K=" << report.partition_size
+         << " removed=" << report.removed_intervals;
+  outcome.detail = detail.str();
+  return outcome;
+}
+
+HistogramTester::HistogramTester(size_t k, double eps,
+                                 HistogramTesterOptions options, uint64_t seed)
+    : k_(k), eps_(eps), options_(options), rng_(seed) {}
+
+Result<TestOutcome> HistogramTester::Test(SampleOracle& oracle) {
+  auto report = TestWithReport(oracle);
+  HISTEST_RETURN_IF_ERROR(report.status());
+  return OutcomeOf(report.value());
+}
+
+Result<HistogramTestReport> HistogramTester::TestWithReport(
+    SampleOracle& oracle) {
+  Algorithm1Spec spec;
+  spec.pieces = k_;
+  spec.eps = eps_;
+  const double kd = static_cast<double>(k_);
+  spec.b = options_.partition_b_constant * kd * std::log2(kd + 1.0) / eps_;
+  spec.stages = StageOptions::Of(options_);
+  spec.check = [this](const PiecewiseConstant& dhat,
+                      const Partition& partition,
+                      const std::vector<bool>& active)
+      -> Result<ProjectionCheck> {
+    auto check = CheckCloseToHkOnSubdomain(dhat, partition, active, k_, eps_,
+                                           options_.check);
+    HISTEST_RETURN_IF_ERROR(check.status());
+    std::ostringstream info;
+    info << "dist(Dhat,Hk|G) in [" << check.value().bounds.lower << ", "
+         << check.value().bounds.upper << "] threshold="
+         << options_.check.threshold_fraction * eps_ << " decided_by="
+         << HkBoundName(check.value().decided_by);
+    return ProjectionCheck{check.value().close, info.str()};
+  };
+  return RunAlgorithm1(oracle, spec, rng_);
 }
 
 }  // namespace histest

@@ -2,6 +2,7 @@
 #define HISTEST_CORE_HISTOGRAM_TESTER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "core/hk_check.h"
 #include "core/learner.h"
 #include "core/sieve.h"
+#include "obs/names.h"
 #include "testing/identity_adk.h"
 #include "testing/tester.h"
 
@@ -56,7 +58,7 @@ struct StageReport {
   std::string info;
 };
 
-/// Extended outcome of a HistogramTester run.
+/// Extended outcome of an Algorithm-1 run (RunAlgorithm1).
 struct HistogramTestReport {
   Verdict verdict = Verdict::kReject;
   int64_t samples_total = 0;
@@ -67,6 +69,68 @@ struct HistogramTestReport {
   size_t removed_intervals = 0;
   std::vector<StageReport> stages;
 };
+
+/// The stage constants the Algorithm-1 runner reads. Both testers' option
+/// structs carry them under these names.
+struct StageOptions {
+  ApproxPartOptions approx_part;
+  double learner_eps_fraction = 0.0;
+  LearnerOptions learner;
+  SieveOptions sieve;
+  double final_eps_fraction = 0.0;
+  AdkOptions final_test;
+  /// Multiplies the four stage sample constants above.
+  double sample_scale = 1.0;
+
+  template <typename TesterOptions>
+  static StageOptions Of(const TesterOptions& o) {
+    return {o.approx_part, o.learner_eps_fraction, o.learner, o.sieve,
+            o.final_eps_fraction, o.final_test, o.sample_scale};
+  }
+};
+
+/// The Step-10 verdict: is the hypothesis close to the tested class on the
+/// kept subdomain? `info` becomes the check's StageReport info.
+struct ProjectionCheck {
+  bool close = false;
+  std::string info;
+};
+
+/// Step 10 of Algorithm 1, supplied by the tester: the class-specific
+/// projection of the hypothesis `dhat` restricted to the partition
+/// intervals the sieve kept (`active`).
+using ProjectionCheckFn = std::function<Result<ProjectionCheck>(
+    const PiecewiseConstant& dhat, const Partition& partition,
+    const std::vector<bool>& active)>;
+
+/// One tester's instance of Algorithm 1.
+struct Algorithm1Spec {
+  /// Root span of the run (a kSpan* constant from obs/names.h).
+  const char* span_name = obs::names::kSpanHistogramTest;
+  /// Pieces the class allows: k for H_k, max_changes + 1 monotone runs for
+  /// k-modality (annotated as `k` on the root span). It is the sieve's
+  /// removal budget, and pieces >= n accepts without sampling: every
+  /// distribution on [0, n) is then in the class.
+  size_t pieces = 0;
+  double eps = 0.0;
+  /// ApproxPart parameter; the runner clamps it to [1, n].
+  double b = 1.0;
+  StageOptions stages;
+  ProjectionCheckFn check;
+};
+
+/// Runs Algorithm 1 for `spec`: ApproxPart, chi-square learner, dense
+/// expansion of the hypothesis, sieve, the Step-10 `spec.check`, and the
+/// restricted [ADK15] identity test. Each stage runs under its trace span
+/// and reports its draws. Returns InvalidArgument when eps is outside
+/// (0, 1], pieces is 0, or sample_scale is not finite and positive.
+Result<HistogramTestReport> RunAlgorithm1(SampleOracle& oracle,
+                                          const Algorithm1Spec& spec,
+                                          Rng& rng);
+
+/// The TestOutcome of a runner report: its verdict, samples and a
+/// `decided_by=... K=... removed=...` detail.
+TestOutcome OutcomeOf(const HistogramTestReport& report);
 
 /// Algorithm 1: the paper's tester for the class H_k of k-histograms.
 ///
@@ -79,7 +143,8 @@ struct HistogramTestReport {
 ///   5. restricted [ADK15] chi^2-vs-TV test of D against the hypothesis
 ///      (Step 13, Theorem 3.2).
 ///
-/// Completeness/soundness 2/3 per Theorem 3.1; sample complexity
+/// Test() runs RunAlgorithm1 with CheckCloseToHkOnSubdomain as the Step-10
+/// callback. Completeness/soundness 2/3 per Theorem 3.1; sample complexity
 /// O(sqrt(n)/eps^2 log k + k/eps^3 log^2 k + (k/eps) log(k/eps)).
 class HistogramTester : public DistributionTester {
  public:
@@ -90,7 +155,8 @@ class HistogramTester : public DistributionTester {
 
   Result<TestOutcome> Test(SampleOracle& oracle) override;
 
-  /// Like Test() but with per-stage accounting.
+  /// Like Test() but with per-stage accounting. Invalid parameters (see
+  /// RunAlgorithm1) come back as InvalidArgument.
   Result<HistogramTestReport> TestWithReport(SampleOracle& oracle);
 
   size_t k() const { return k_; }

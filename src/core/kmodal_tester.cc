@@ -1,105 +1,53 @@
 #include "core/kmodal_tester.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
-#include "common/check.h"
-#include "core/hk_check.h"
 #include "histogram/modality.h"
+#include "obs/names.h"
 
 namespace histest {
 
 KModalTester::KModalTester(size_t max_changes, double eps,
                            KModalTesterOptions options, uint64_t seed)
-    : max_changes_(max_changes), eps_(eps), options_(options), rng_(seed) {
-  HISTEST_CHECK_GT(eps_, 0.0);
-  HISTEST_CHECK_LE(eps_, 1.0);
-  HISTEST_CHECK_GT(options_.sample_scale, 0.0);
-}
+    : max_changes_(max_changes), eps_(eps), options_(options), rng_(seed) {}
 
 Result<TestOutcome> KModalTester::Test(SampleOracle& oracle) {
-  const size_t n = oracle.DomainSize();
-  const int64_t drawn_start = oracle.SamplesDrawn();
-  TestOutcome outcome;
+  auto report = TestWithReport(oracle);
+  HISTEST_RETURN_IF_ERROR(report.status());
+  return OutcomeOf(report.value());
+}
 
-  // Trivial regime: any pmf over [0, n) has at most n - 1 direction
-  // changes.
-  if (max_changes_ + 1 >= n) {
-    outcome.verdict = Verdict::kAccept;
-    outcome.detail = "trivial: max_changes >= n - 1";
-    return outcome;
-  }
-
-  KModalTesterOptions opts = options_;
-  opts.approx_part.sample_constant *= opts.sample_scale;
-  opts.learner.sample_constant *= opts.sample_scale;
-  opts.sieve.sample_constant *= opts.sample_scale;
-  opts.final_test.sample_constant *= opts.sample_scale;
-
-  // The sieve's removal budget is keyed by the number of intervals that
-  // can hide a direction change.
-  const size_t k_budget = max_changes_ + 1;
-
-  // Stage 1: partition. The log n factor covers the flattening error of
-  // smooth monotone runs.
-  double b = opts.partition_b_constant * static_cast<double>(k_budget) *
-             std::log2(static_cast<double>(n) + 1.0) / eps_;
-  b = std::max(1.0, std::min(b, static_cast<double>(n)));
-  auto partition = ApproxPartition(oracle, b, opts.approx_part);
-  HISTEST_RETURN_IF_ERROR(partition.status());
-
-  // Stage 2: chi-square learner.
-  const double eps_learn = opts.learner_eps_fraction * eps_;
-  auto dhat = LearnHistogramChiSquare(oracle, partition.value(), eps_learn,
-                                      opts.learner);
-  HISTEST_RETURN_IF_ERROR(dhat.status());
-  const std::vector<double> dstar = dhat.value().ToDense();
-
-  // Stage 3: sieve away intervals whose statistics are inconsistent with
-  // the hypothesis (mode switches and heavy-variation spots).
-  auto sieve = SieveIntervals(oracle, dstar, partition.value(), k_budget,
-                              eps_, opts.sieve, rng_);
-  HISTEST_RETURN_IF_ERROR(sieve.status());
-  if (sieve.value().rejected) {
-    outcome.verdict = Verdict::kReject;
-    outcome.samples_used = oracle.SamplesDrawn() - drawn_start;
-    outcome.detail = "kmodal/sieve: " + sieve.value().detail;
-    return outcome;
-  }
-
-  // Stage 4: offline k-modal projection check on the kept subdomain.
-  const std::vector<Interval> kept =
-      ActiveSubdomain(partition.value(), sieve.value().active);
-  if (!kept.empty()) {
-    auto check = RestrictedDistanceToKModal(dhat.value(), kept, max_changes_,
-                                            opts.check_coarsen_limit);
-    HISTEST_RETURN_IF_ERROR(check.status());
-    if (check.value().lower > opts.check_threshold_fraction * eps_) {
-      outcome.verdict = Verdict::kReject;
-      outcome.samples_used = oracle.SamplesDrawn() - drawn_start;
-      std::ostringstream detail;
-      detail << "kmodal/check: dist(Dhat, " << max_changes_
-             << "-modal | G) >= " << check.value().lower << " > "
-             << opts.check_threshold_fraction * eps_;
-      outcome.detail = detail.str();
-      return outcome;
-    }
-  }
-
-  // Stage 5: restricted [ADK15] verification against the hypothesis.
-  const double eps_final = opts.final_eps_fraction * eps_;
-  const double m_final = opts.final_test.sample_constant *
-                         std::sqrt(static_cast<double>(n)) /
-                         (eps_final * eps_final);
-  auto final_outcome = AdkRestrictedIdentityTest(
-      oracle, dstar, partition.value(), sieve.value().active, eps_final,
-      m_final, opts.final_test, rng_);
-  HISTEST_RETURN_IF_ERROR(final_outcome.status());
-  outcome.verdict = final_outcome.value().verdict;
-  outcome.samples_used = oracle.SamplesDrawn() - drawn_start;
-  outcome.detail = "kmodal/final: " + final_outcome.value().detail;
-  return outcome;
+Result<HistogramTestReport> KModalTester::TestWithReport(
+    SampleOracle& oracle) {
+  Algorithm1Spec spec;
+  spec.span_name = obs::names::kSpanKModalTest;
+  // The sieve's removal budget is keyed by the number of monotone runs,
+  // i.e. of intervals that can hide a direction change.
+  spec.pieces = max_changes_ + 1;
+  spec.eps = eps_;
+  // The log n factor covers the flattening error of smooth monotone runs.
+  spec.b = options_.partition_b_constant * static_cast<double>(spec.pieces) *
+           std::log2(static_cast<double>(oracle.DomainSize()) + 1.0) / eps_;
+  spec.stages = StageOptions::Of(options_);
+  // Step 10 with the exact k-modal projection; an empty kept subdomain is
+  // vacuously close.
+  spec.check = [this](const PiecewiseConstant& dhat,
+                      const Partition& partition,
+                      const std::vector<bool>& active)
+      -> Result<ProjectionCheck> {
+    const std::vector<Interval> kept = ActiveSubdomain(partition, active);
+    if (kept.empty()) return ProjectionCheck{true, "empty subdomain"};
+    auto dist = RestrictedDistanceToKModal(dhat, kept, max_changes_,
+                                           options_.check_coarsen_limit);
+    HISTEST_RETURN_IF_ERROR(dist.status());
+    const double threshold = options_.check_threshold_fraction * eps_;
+    std::ostringstream info;
+    info << "dist(Dhat," << max_changes_ << "-modal|G) >= "
+         << dist.value().lower << " threshold=" << threshold;
+    return ProjectionCheck{!(dist.value().lower > threshold), info.str()};
+  };
+  return RunAlgorithm1(oracle, spec, rng_);
 }
 
 }  // namespace histest

@@ -5,11 +5,7 @@
 #include <string>
 
 #include "common/rng.h"
-#include "core/approx_part.h"
-#include "core/learner.h"
-#include "core/sieve.h"
-#include "testing/identity_adk.h"
-#include "testing/tester.h"
+#include "core/histogram_tester.h"
 
 namespace histest {
 
@@ -38,9 +34,9 @@ struct KModalTesterOptions {
 /// paper's remark after Theorem 1.2 extends the lower bound to; the tester
 /// instantiates the same testing-by-learning pipeline as Algorithm 1
 /// (partition, chi-square learner, sieve, offline projection check, [ADK15]
-/// verification) with the H_k dynamic program replaced by the exact
-/// L1-isotonic (PAVA) k-modal projection. k = 0 tests monotonicity, k = 1
-/// unimodality.
+/// verification) — it runs RunAlgorithm1 — with the H_k dynamic program
+/// replaced by the exact L1-isotonic (PAVA) k-modal projection as the
+/// Step-10 check. k = 0 tests monotonicity, k = 1 unimodality.
 class KModalTester : public DistributionTester {
  public:
   KModalTester(size_t max_changes, double eps, KModalTesterOptions options,
@@ -48,6 +44,10 @@ class KModalTester : public DistributionTester {
 
   std::string Name() const override { return "histest-kmodal"; }
   Result<TestOutcome> Test(SampleOracle& oracle) override;
+
+  /// Like Test() but with per-stage accounting. Invalid parameters (see
+  /// RunAlgorithm1) come back as InvalidArgument.
+  Result<HistogramTestReport> TestWithReport(SampleOracle& oracle);
 
   size_t max_changes() const { return max_changes_; }
 

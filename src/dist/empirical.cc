@@ -3,45 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "common/check.h"
-#include "common/cli.h"
 #include "common/kernels.h"
 #include "common/math_util.h"
 
 namespace histest {
-namespace {
-
-/// Storage-mode cutover as a fraction of the domain size, parsed once per
-/// process. Unset keeps the historical integer rule (n / 8, exact at the
-/// boundaries); a set HISTEST_SPARSE_THRESHOLD in (0, 1] switches to
-/// expected_samples < n * fraction. Negative return means "use the
-/// historical rule".
-double SparseThresholdFraction() {
-  static const double fraction = []() {
-    const double fallback =
-        1.0 / static_cast<double>(CountVector::kSparseDomainFraction);
-    const EnvValue<double> env =
-        ParseEnvDouble("HISTEST_SPARSE_THRESHOLD", fallback);
-    if (!env.present) return -1.0;
-    if (!env.valid || env.value > 1.0) {
-      if (ShouldWarnOnceForEnv("HISTEST_SPARSE_THRESHOLD", env.raw)) {
-        std::fprintf(
-            stderr,
-            "histest: ignoring HISTEST_SPARSE_THRESHOLD=%s (%s); using %g\n",
-            env.raw.c_str(),
-            env.valid ? "must be in (0, 1]" : env.error.c_str(), fallback);
-      }
-      return -1.0;
-    }
-    return env.value;
-  }();
-  return fraction;
-}
-
-}  // namespace
 
 CountVector::CountVector(std::vector<int64_t> counts)
     : n_(counts.size()), total_(0), dense_(std::move(counts)) {
@@ -60,15 +28,10 @@ CountVector CountVector::Sparse(size_t n) {
 
 CountVector CountVector::ShapedFor(size_t n, int64_t expected_samples) {
   HISTEST_CHECK_GE(expected_samples, 0);
-  const double fraction = SparseThresholdFraction();
-  const bool sparse =
-      fraction < 0.0
-          ? expected_samples < static_cast<int64_t>(
-                                   n / static_cast<size_t>(
-                                           kSparseDomainFraction))
-          : static_cast<double>(expected_samples) <
-                static_cast<double>(n) * fraction;
-  if (sparse) return Sparse(n);
+  if (expected_samples <
+      static_cast<int64_t>(n / static_cast<size_t>(kSparseDomainFraction))) {
+    return Sparse(n);
+  }
   return CountVector(n);
 }
 

@@ -31,14 +31,10 @@ class CountVector {
   static CountVector Sparse(size_t n);
 
   /// Picks the representation for a planned draw of `expected_samples`:
-  /// sparse when expected_samples < n * threshold, dense otherwise, where
-  /// threshold defaults to 1 / kSparseDomainFraction and can be overridden
-  /// via the HISTEST_SPARSE_THRESHOLD environment variable (a fraction of
-  /// the domain size in (0, 1]; parsed once per process, malformed values
-  /// warn once and keep the default). The knob only moves the storage-mode
-  /// cutover — every query is bit-identical across modes, so outputs never
-  /// change. Oracles route DrawCounts through this so the whole pipeline
-  /// agrees on one policy.
+  /// sparse when expected_samples < n / kSparseDomainFraction (integer
+  /// division), dense otherwise. Every query is bit-identical across
+  /// modes, so the cutover moves only storage. Oracles route DrawCounts
+  /// through this so the whole pipeline agrees on one policy.
   static CountVector ShapedFor(size_t n, int64_t expected_samples);
 
   /// Builds counts from raw samples; every sample must be < n.

@@ -58,7 +58,7 @@ PiecewiseConstant PiecewiseConstant::FromDistribution(const Distribution& dist) 
   std::vector<Piece> pieces;
   size_t start = 0;
   for (size_t i = 1; i <= dist.size(); ++i) {
-    if (i == dist.size() || dist[i] != dist[start]) {
+    if (i == dist.size() || !ExactlyEqual(dist[i], dist[start])) {
       pieces.push_back(Piece{Interval{start, i}, dist[start]});
       start = i;
     }
@@ -106,7 +106,7 @@ double PiecewiseConstant::TotalMass() const {
 PiecewiseConstant PiecewiseConstant::Simplified() const {
   std::vector<Piece> merged;
   for (const Piece& p : pieces_) {
-    if (!merged.empty() && merged.back().value == p.value) {
+    if (!merged.empty() && ExactlyEqual(merged.back().value, p.value)) {
       merged.back().interval.end = p.interval.end;
     } else {
       merged.push_back(p);

@@ -3,13 +3,14 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/math_util.h"
 
 namespace histest {
 
 std::vector<size_t> BreakpointsOf(const std::vector<double>& values) {
   std::vector<size_t> breaks;
   for (size_t i = 1; i < values.size(); ++i) {
-    if (values[i - 1] != values[i]) breaks.push_back(i);
+    if (!ExactlyEqual(values[i - 1], values[i])) breaks.push_back(i);
   }
   return breaks;
 }

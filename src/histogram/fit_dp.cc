@@ -441,7 +441,7 @@ std::vector<WeightedAtom> AtomsFromDense(const std::vector<double>& values) {
   std::vector<WeightedAtom> atoms;
   size_t start = 0;
   for (size_t i = 1; i <= values.size(); ++i) {
-    if (i == values.size() || values[i] != values[start]) {
+    if (i == values.size() || !ExactlyEqual(values[i], values[start])) {
       const double len = static_cast<double>(i - start);
       atoms.push_back(WeightedAtom{values[start], len, len});
       start = i;

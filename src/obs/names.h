@@ -39,7 +39,7 @@
     "scratch-arena high-water mark of the reporting thread")                   \
   /* ---- tester pipeline (src/core/histogram_tester.cc) ---- */               \
   X(kTesterRuns, "histest.tester.runs", counter,                               \
-    "HistogramTester::TestWithReport completions")                             \
+    "RunAlgorithm1 completions (HistogramTester and KModalTester)")            \
   X(kStageApproxPartSamplesDrawn,                                              \
     "histest.stage.approx_part.samples_drawn", counter,                        \
     "oracle samples drawn by the ApproxPart stage")                            \
@@ -113,12 +113,11 @@
   /* ---- flight recorder (src/obs/flight_recorder.cc) ---- */                 \
   X(kRecorderThreads, "histest.recorder.threads", gauge,                       \
     "threads holding a registered flight-recorder ring")                       \
-  /* ---- metrics publisher (src/obs/publisher.cc) ---- */                     \
-  X(kPublisherSnapshots, "histest.publisher.snapshots", counter,               \
-    "registry snapshots written by the background metrics publisher")          \
   /* ---- trace spans ---- */                                                  \
   X(kSpanHistogramTest, "histogram_test", span,                                \
     "one HistogramTester run; parent of the stage spans")                      \
+  X(kSpanKModalTest, "kmodal_test", span,                                      \
+    "one KModalTester run; parent of the stage spans (k = max_changes + 1)")   \
   X(kSpanTrial, "trial", span,                                                 \
     "one acceptance-estimation trial on a pool thread")                        \
   X(kSpanRunGrid, "run_grid", span,                                            \

@@ -3,7 +3,7 @@
 
 /// Umbrella header for the observability layer.
 ///
-/// The layer has six parts:
+/// The layer has five parts:
 ///   * metrics.h — MetricsRegistry: named counters / gauges / histograms
 ///     with lock-free per-thread shards, merged on snapshot;
 ///   * trace.h   — TraceSession: hierarchical spans with explicit clock
@@ -14,9 +14,7 @@
 ///   * manifest.h — RunManifest: the structured run-provenance record
 ///     embedded in traces, bench JSON, and flight-recorder dumps;
 ///   * flight_recorder.h — the always-on per-thread event ring dumped on
-///     crashes / CHECK failures / demand (the post-mortem story);
-///   * publisher.h — the background MetricsPublisher thread (OpenMetrics /
-///     JSONL live snapshots with derived p50/p95/p99).
+///     crashes / CHECK failures / demand (the post-mortem story).
 ///
 /// Everything is gated on obs::Enabled() (HISTEST_TRACE env or --trace):
 /// disabled, every entry point is one relaxed load and a branch, no clock
@@ -30,7 +28,6 @@
 #include "obs/flight_recorder.h"  // IWYU pragma: export
 #include "obs/manifest.h"         // IWYU pragma: export
 #include "obs/metrics.h"          // IWYU pragma: export
-#include "obs/publisher.h"        // IWYU pragma: export
 #include "obs/trace.h"            // IWYU pragma: export
 
 #endif  // HISTEST_OBS_OBS_H_

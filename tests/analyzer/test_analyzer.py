@@ -37,8 +37,6 @@ DEST = {
     "clock_discipline_good.cc": "bench/clock_discipline_good.cc",
     "status_discipline_bad.cc": "src/app/status_discipline_bad.cc",
     "status_discipline_good.cc": "src/app/status_discipline_good.cc",
-    "float_compare_bad.cc": "src/core/float_compare_bad.cc",
-    "float_compare_good.cc": "src/core/float_compare_good.cc",
     "raw_accumulate_bad.cc": "src/core/raw_accumulate_bad.cc",
     "raw_accumulate_good.cc": "src/core/raw_accumulate_good.cc",
     "rng_stream_bad.cc": "src/core/rng_stream_bad.cc",
@@ -119,14 +117,6 @@ class CheckerFixtureTest(unittest.TestCase):
 
     def test_status_discipline_good(self):
         res = scan(["status_discipline_good.cc"])
-        self.assertEqual(res.findings, [])
-
-    def test_float_compare_bad(self):
-        res = scan(["float_compare_bad.cc"], checkers=["float-compare"])
-        self.assert_findings(res, "float-compare", [5, 9, 14])
-
-    def test_float_compare_good(self):
-        res = scan(["float_compare_good.cc"])
         self.assertEqual(res.findings, [])
 
     def test_raw_accumulate_bad(self):
@@ -531,7 +521,7 @@ class StaleSuppressionTest(unittest.TestCase):
         # the *other* checkers stale.
         root = self._tree_with(self._CLEAN_WITH_SUPPRESSION)
         try:
-            res = engine.run_scan(root, checker_names=["float-compare"],
+            res = engine.run_scan(root, checker_names=["status-discipline"],
                                   backend="internal")
             self.assertEqual(res.findings, [])
         finally:
@@ -566,7 +556,7 @@ class StaleSuppressionTest(unittest.TestCase):
 
 class CliOutputTest(unittest.TestCase):
     def test_json_schema_and_exit_code(self):
-        root = make_tree(["raw_accumulate_bad.cc", "float_compare_bad.cc"])
+        root = make_tree(["raw_accumulate_bad.cc", "status_discipline_bad.cc"])
         try:
             proc = run_cli(["--root", str(root), "--backend", "internal",
                             "--format", "json"])
@@ -603,7 +593,7 @@ class CliOutputTest(unittest.TestCase):
         self.assertTrue(loc["artifactLocation"]["uri"].endswith(".cc"))
 
     def test_clean_tree_exits_zero(self):
-        root = make_tree(["raw_accumulate_good.cc", "float_compare_good.cc"])
+        root = make_tree(["raw_accumulate_good.cc", "status_discipline_good.cc"])
         try:
             proc = run_cli(["--root", str(root), "--backend", "internal"])
             self.assertEqual(proc.returncode, 0,

@@ -2,6 +2,7 @@
 
 #include "common/rng.h"
 #include "core/histogram_tester.h"
+#include "core/kmodal_tester.h"
 #include "dist/generators.h"
 #include "dist/serialize.h"
 #include "testing/oracle.h"
@@ -13,18 +14,8 @@ namespace {
 /// so identical seeds must give identical results — the property that
 /// makes experiment tables and test expectations reproducible.
 
-TEST(DeterminismTest, HistogramTesterReportIsSeedDeterministic) {
-  Rng gen(5);
-  const auto dist = MakeRandomKHistogram(512, 4, gen).value()
-                        .ToDistribution()
-                        .value();
-  auto run = [&]() {
-    DistributionOracle oracle(dist, 111);
-    HistogramTester tester(4, 0.25, HistogramTesterOptions{}, 222);
-    return tester.TestWithReport(oracle).value();
-  };
-  const HistogramTestReport a = run();
-  const HistogramTestReport b = run();
+void ExpectSameReport(const HistogramTestReport& a,
+                      const HistogramTestReport& b) {
   EXPECT_EQ(a.verdict, b.verdict);
   EXPECT_EQ(a.samples_total, b.samples_total);
   EXPECT_EQ(a.decided_by, b.decided_by);
@@ -35,6 +26,32 @@ TEST(DeterminismTest, HistogramTesterReportIsSeedDeterministic) {
     EXPECT_EQ(a.stages[s].samples, b.stages[s].samples) << a.stages[s].stage;
     EXPECT_EQ(a.stages[s].info, b.stages[s].info) << a.stages[s].stage;
   }
+}
+
+TEST(DeterminismTest, HistogramTesterReportIsSeedDeterministic) {
+  Rng gen(5);
+  const auto dist = MakeRandomKHistogram(512, 4, gen).value()
+                        .ToDistribution()
+                        .value();
+  auto run = [&]() {
+    DistributionOracle oracle(dist, 111);
+    HistogramTester tester(4, 0.25, HistogramTesterOptions{}, 222);
+    return tester.TestWithReport(oracle).value();
+  };
+  ExpectSameReport(run(), run());
+}
+
+TEST(DeterminismTest, KModalTesterReportIsSeedDeterministic) {
+  const auto dist =
+      MakeGaussianMixture(512, {0.3, 0.7}, {0.08, 0.08}, {0.5, 0.5}).value();
+  auto run = [&]() {
+    DistributionOracle oracle(dist, 111);
+    KModalTester tester(3, 0.3, KModalTesterOptions{}, 222);
+    return tester.TestWithReport(oracle).value();
+  };
+  const HistogramTestReport a = run();
+  EXPECT_GT(a.samples_total, 0);
+  ExpectSameReport(a, run());
 }
 
 TEST(DeterminismTest, GeneratorsAreRngStateDeterministic) {

@@ -14,6 +14,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/math_util.h"
 #include "common/rng.h"
 
 namespace histest {
@@ -71,7 +72,7 @@ bool NanSafeEq(double a, double b) {
   if (std::isnan(a) || std::isnan(b)) {
     return std::isnan(a) && std::isnan(b);
   }
-  return a == b;
+  return ExactlyEqual(a, b);
 }
 
 /// Block/lane edge sizes around the four-lane body, plus multi-block sizes.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "benchutil/workloads.h"
 #include "common/rng.h"
 #include "dist/generators.h"
@@ -35,6 +37,25 @@ TEST(HistogramTesterTest, TrivialAcceptWhenKCoversDomain) {
   EXPECT_EQ(report.value().verdict, Verdict::kAccept);
   EXPECT_EQ(report.value().decided_by, "trivial");
   EXPECT_EQ(report.value().samples_total, 0);
+}
+
+TEST(HistogramTesterTest, HostileParametersAreInvalidArgument) {
+  const auto expect_invalid = [](size_t k, double eps, double sample_scale) {
+    HistogramTesterOptions options;
+    options.sample_scale = sample_scale;
+    DistributionOracle oracle(Distribution::UniformOver(64), 3);
+    HistogramTester tester(k, eps, options, 5);
+    auto outcome = tester.Test(oracle);
+    ASSERT_FALSE(outcome.ok()) << k << " " << eps << " " << sample_scale;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(oracle.SamplesDrawn(), 0);
+  };
+  for (const double eps : {std::nan(""), 0.0, 1.5}) expect_invalid(2, eps, 1.0);
+  expect_invalid(0, 0.25, 1.0);
+  expect_invalid(2, 0.25, 0.0);
+  expect_invalid(2, 0.25, std::nan(""));
+  // Invalid parameters are rejected even where k >= n would accept.
+  expect_invalid(100, std::nan(""), 1.0);
 }
 
 TEST(HistogramTesterTest, IntegrationCompletenessOnWorkloadGrid) {

@@ -27,7 +27,7 @@ const size_t kEdgeSizes[] = {0,    1,    3,    4,    5,
 /// Equality that treats any-NaN == any-NaN (payloads are irrelevant).
 bool NanSafeEq(double a, double b) {
   if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
-  return a == b;
+  return ExactlyEqual(a, b);
 }
 
 /// The summation order documented in kernels.h, transcribed independently:

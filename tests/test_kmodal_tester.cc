@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
 #include "dist/generators.h"
 #include "histogram/modality.h"
@@ -77,9 +79,13 @@ TEST(KModalTesterTest, AcceptsBimodalWithEnoughChanges) {
 
 TEST(KModalTesterTest, ValidatesEps) {
   DistributionOracle oracle(Distribution::UniformOver(64), 3);
-  // eps checks are constructor contracts.
-  EXPECT_DEATH(KModalTester(1, 0.0, KModalTesterOptions{}, 5),
-               "CHECK failed");
+  for (const double eps : {0.0, std::nan(""), 1.5}) {
+    KModalTester tester(1, eps, KModalTesterOptions{}, 5);
+    auto outcome = tester.Test(oracle);
+    ASSERT_FALSE(outcome.ok()) << eps;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument) << eps;
+  }
+  EXPECT_EQ(oracle.SamplesDrawn(), 0);
 }
 
 }  // namespace

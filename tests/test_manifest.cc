@@ -70,13 +70,13 @@ TEST(ManifestTest, CurrentManifestPopulatesProvenance) {
 
 TEST(ManifestTest, EnvKnobsCaptureRawValueOrNull) {
   const ScopedEnv set("HISTEST_BENCH_SCALE", "2.5");
-  const ScopedEnv unset("HISTEST_SPARSE_THRESHOLD", nullptr);
+  const ScopedEnv unset("HISTEST_FLIGHT_RECORDER_OUT", nullptr);
   const obs::RunManifest m = obs::CurrentRunManifest();
   const std::string json = m.ToJson();
   EXPECT_NE(json.find("\"HISTEST_BENCH_SCALE\":\"2.5\""),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"HISTEST_SPARSE_THRESHOLD\":null"),
+  EXPECT_NE(json.find("\"HISTEST_FLIGHT_RECORDER_OUT\":null"),
             std::string::npos)
       << json;
 }

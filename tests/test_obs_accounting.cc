@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "benchutil/parallel.h"
 #include "common/rng.h"
 #include "core/histogram_tester.h"
+#include "core/kmodal_tester.h"
 #include "dist/distribution.h"
 #include "dist/generators.h"
 #include "testing/oracle.h"
@@ -90,17 +93,36 @@ TEST_F(ObsAccountingTest, OracleCountsAccountingInBothStorageModes) {
 }
 
 TEST_F(ObsAccountingTest, StageCountersMatchReportStages) {
-  DistributionOracle oracle(Distribution::UniformOver(512), 7);
-  HistogramTester tester(2, 0.25, HistogramTesterOptions{}, 8);
-  auto report = tester.TestWithReport(oracle);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  for (const auto& s : report.value().stages) {
-    if (s.stage == "check") continue;  // offline: no counter, 0 samples
-    EXPECT_EQ(CounterValue("histest.stage." + s.stage + ".samples_drawn"),
-              s.samples)
-        << s.stage;
+  // Both testers run the one Algorithm-1 stage runner, so both account.
+  using RunFn = std::function<Result<HistogramTestReport>(SampleOracle&)>;
+  const std::pair<const char*, RunFn> testers[] = {
+      {"histogram",
+       [](SampleOracle& oracle) {
+         return HistogramTester(2, 0.25, HistogramTesterOptions{}, 8)
+             .TestWithReport(oracle);
+       }},
+      {"kmodal",
+       [](SampleOracle& oracle) {
+         return KModalTester(1, 0.3, KModalTesterOptions{}, 8)
+             .TestWithReport(oracle);
+       }},
+  };
+  for (const auto& [name, run] : testers) {
+    obs::MetricsRegistry::Global().ResetForTest();
+    DistributionOracle oracle(Distribution::UniformOver(512), 7);
+    auto report = run(oracle);
+    ASSERT_TRUE(report.ok()) << name << ": " << report.status().ToString();
+    EXPECT_EQ(report.value().decided_by, "final") << name;
+    for (const auto& s : report.value().stages) {
+      if (s.stage == "check") continue;  // offline: no counter, 0 samples
+      EXPECT_EQ(CounterValue("histest.stage." + s.stage + ".samples_drawn"),
+                s.samples)
+          << name << " " << s.stage;
+    }
+    EXPECT_EQ(StageCounterSum(), report.value().samples_total) << name;
+    EXPECT_EQ(StageCounterSum(), oracle.SamplesDrawn()) << name;
+    EXPECT_EQ(CounterValue("histest.tester.runs"), 1) << name;
   }
-  EXPECT_EQ(StageCounterSum(), report.value().samples_total);
 }
 
 TEST_F(ObsAccountingTest, ParallelTrialTotalsIndependentOfThreadCount) {

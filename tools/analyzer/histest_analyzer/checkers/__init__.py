@@ -3,7 +3,6 @@
 from . import arena_escape      # noqa: F401
 from . import clock_discipline  # noqa: F401
 from . import env_discipline    # noqa: F401
-from . import float_compare     # noqa: F401
 from . import lock_discipline   # noqa: F401
 from . import obs_name_discipline  # noqa: F401
 from . import raw_accumulate    # noqa: F401

@@ -2,112 +2,6 @@
 
 from __future__ import annotations
 
-# Tokens that delimit a comparison operand at relative depth 0.
-_BOUNDARY_PUNCT = frozenset({
-    ",", ";", "&&", "||", "?", ":", "=", "==", "!=", "<", ">", "<=", ">=",
-    "{", "}", "+=", "-=", "*=", "/=", "<<", ">>", "!",
-})
-_BOUNDARY_KW = frozenset({"return", "if", "while", "for", "case"})
-
-_OPENERS = {"(": 1, "[": 1}
-_CLOSERS = {")": 1, "]": 1}
-
-
-def operand_span(tokens, op_idx, lo, hi, direction):
-    """Token index range of the operand left (-1) or right (+1) of the
-    comparison operator at `op_idx`, within [lo, hi)."""
-    depth = 0
-    i = op_idx + direction
-    first = last = None
-    while lo <= i < hi:
-        t = tokens[i]
-        if t.kind == "punct":
-            if (direction > 0 and t.text in _OPENERS) or \
-                    (direction < 0 and t.text in _CLOSERS):
-                depth += 1
-            elif (direction > 0 and t.text in _CLOSERS) or \
-                    (direction < 0 and t.text in _OPENERS):
-                depth -= 1
-                if depth < 0:
-                    break
-            elif depth == 0 and t.text in _BOUNDARY_PUNCT:
-                break
-        elif depth == 0 and t.kind == "kw" and t.text in _BOUNDARY_KW:
-            break
-        if first is None:
-            first = i
-        last = i
-        i += direction
-    if first is None:
-        return (op_idx, op_idx)
-    return (min(first, last), max(first, last) + 1)
-
-
-_RELATIONAL_OPS = frozenset({"==", "!=", "<", ">", "<=", ">=", "&&", "||"})
-
-
-def _is_bool_group(toks, lo, hi):
-    """True for a parenthesized comparison, e.g. ``(x > 0.0)``: the group
-    evaluates to bool even when its operands are floats."""
-    if hi - lo < 3 or toks[lo].text != "(" or toks[hi - 1].text != ")":
-        return False
-    depth = 0
-    for i in range(lo, hi):
-        t = toks[i]
-        if t.kind != "punct":
-            continue
-        if t.text in ("(", "["):
-            depth += 1
-        elif t.text in (")", "]"):
-            depth -= 1
-        elif depth == 1 and t.text in _RELATIONAL_OPS:
-            return True
-    return False
-
-
-def classify_span(ctx, fn, lo, hi):
-    """'float' if the token span [lo, hi) is a floating-point expression,
-    judged by confident signals only (literals, typed variables, calls to
-    functions indexed as double-returning, float casts)."""
-    toks = ctx.model.tokens
-    index = ctx.index
-    members = ctx.model.member_types
-    if _is_bool_group(toks, lo, hi):
-        return None
-    i = lo
-    while i < hi:
-        t = toks[i]
-        if t.kind == "fnum":
-            return "float"
-        if t.kind == "kw" and t.text in ("double", "float"):
-            # static_cast<double>(..) / double(..) / numeric_limits<double>
-            return "float"
-        if t.kind == "id":
-            nxt = toks[i + 1] if i + 1 < hi else None
-            prev = toks[i - 1] if i - 1 >= lo else None
-            is_call = nxt is not None and nxt.kind == "punct" and \
-                nxt.text == "("
-            if is_call:
-                if index is not None and index.returns_float(t.text):
-                    return "float"
-            else:
-                # Skip member accesses of unknown objects (`a.b`): only the
-                # chain base or known members classify.
-                is_member_access = prev is not None and \
-                    prev.kind == "punct" and prev.text in (".", "->")
-                cls = None
-                if fn is not None and not is_member_access:
-                    cls = fn.type_of(t.text, index, members)
-                elif t.text in members:
-                    cls = members[t.text]
-                if cls == "float":
-                    return "float"
-                if cls == "float_ptr" and nxt is not None and \
-                        nxt.kind == "punct" and nxt.text == "[":
-                    return "float"
-        i += 1
-    return None
-
 
 def iter_member_calls(tokens, lo, hi):
     """Yields (recv_idx, method_idx, open_idx) for `recv.M(` / `recv->M(`

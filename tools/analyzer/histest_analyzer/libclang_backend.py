@@ -23,8 +23,6 @@ _PARSE_ARGS = ["-std=c++20", "-x", "c++"]
 @dataclass
 class ClangFacts:
     parsed: bool = False
-    # (line, col) of ==/!= with a floating operand.
-    float_compares: list = field(default_factory=list)
     # (line, col, callee) of discarded Status/Result call results.
     discarded_status: list = field(default_factory=list)
     # (line, col, lhs_name) of float compound-assign accumulation in loops.
@@ -43,20 +41,6 @@ def _is_float_kind(ctype) -> bool:
             TypeKind.FLOAT128)
     except Exception:
         return False
-
-
-def _binary_opcode(cursor) -> str | None:
-    """Recovers a BINARY_OPERATOR's opcode from tokens (clang-14 safe)."""
-    children = list(cursor.get_children())
-    if len(children) != 2:
-        return None
-    lhs_end = children[0].extent.end.offset
-    rhs_start = children[1].extent.start.offset
-    for tok in cursor.get_tokens():
-        off = tok.extent.start.offset
-        if lhs_end <= off < rhs_start and tok.spelling in ("==", "!="):
-            return tok.spelling
-    return None
 
 
 def _result_is_status(ctype) -> bool:
@@ -110,14 +94,6 @@ def collect_facts(root, path) -> ClangFacts:
     def visit(cursor, ancestors):
         kind = cursor.kind
         here = in_target(cursor)
-
-        if here and kind == CursorKind.BINARY_OPERATOR:
-            op = _binary_opcode(cursor)
-            if op is not None:
-                kids = list(cursor.get_children())
-                if any(_is_float_kind(k.type) for k in kids):
-                    loc = cursor.location
-                    facts.float_compares.append((loc.line, loc.column))
 
         if here and kind == CursorKind.CALL_EXPR:
             parent = ancestors[-1] if ancestors else None
