@@ -86,6 +86,9 @@ TEST_F(ObsTest, HistogramBucketBoundsDouble) {
   EXPECT_DOUBLE_EQ(obs::HistogramBucketBound(1), 2e-9);
   EXPECT_DOUBLE_EQ(obs::HistogramBucketBound(3),
                    2.0 * obs::HistogramBucketBound(2));
+}
+
+TEST(HistogramQuantileTest, BucketBoundsDoubleGeometrically) {
   EXPECT_DOUBLE_EQ(obs::HistogramBucketBound(0), obs::kHistogramMinBound);
   EXPECT_DOUBLE_EQ(obs::HistogramBucketBound(10),
                    obs::kHistogramMinBound * 1024.0);
