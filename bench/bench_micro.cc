@@ -80,6 +80,34 @@ void BM_OracleDrawBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleDrawBatch)->Arg(10000)->Arg(1000000);
 
+/// Dense DrawCounts at the count level (DistributionOracle's override)
+/// against the base-class stream (one Draw() per sample). Args: n,
+/// 8 * count / n (1, 48, 160, 1440: count/n = 1/8, 6, 20, 180), and 1 for
+/// the stream. Items are samples. Named outside the `BM_OracleDraw` CI
+/// filter on purpose: supporting evidence, not a gated row.
+void BM_OracleCounts(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const int64_t count = static_cast<int64_t>(n) * state.range(1) / 8;
+  const bool stream = state.range(2) != 0;
+  const auto dist = MakeZipf(n, 1.0).value();
+  DistributionOracle oracle(dist, 47);
+  for (auto _ : state) {
+    const CountVector cv = stream ? oracle.SampleOracle::DrawCounts(count)
+                                  : oracle.DrawCounts(count);
+    benchmark::DoNotOptimize(cv.total());
+  }
+  state.SetItemsProcessed(state.iterations() * count);
+}
+BENCHMARK(BM_OracleCounts)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (const int64_t n : {int64_t{1} << 14, int64_t{1} << 18}) {
+        for (const int64_t eighths : {1, 48, 160, 1440}) {
+          for (const int64_t stream : {0, 1}) b->Args({n, eighths, stream});
+        }
+      }
+    })
+    ->Unit(benchmark::kMillisecond);
+
 /// The E1 workload at tester scale: k=5 in-class random histograms, the
 /// acceptance harness run for a fixed trial count over one shared alias
 /// table. Reported counter: trials per second.

@@ -27,10 +27,6 @@ Rng::Rng(uint64_t seed) {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
 }
 
-double Rng::UniformDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::UniformDouble(double lo, double hi) {
   HISTEST_CHECK_LE(lo, hi);
   return lo + (hi - lo) * UniformDouble();
@@ -126,21 +122,105 @@ int64_t Rng::Binomial(int64_t n, double p) {
   if (n == 0 || ExactlyEqual(p, 0.0)) return 0;
   if (ExactlyEqual(p, 1.0)) return n;
   if (p > 0.5) return n - Binomial(n, 1.0 - p);
-  if (n <= 64) {
-    int64_t count = 0;
-    for (int64_t i = 0; i < n; ++i) count += Bernoulli(p) ? 1 : 0;
-    return count;
+  const double nd = static_cast<double>(n);
+  const double q = 1.0 - p;
+  const double r = p / q;
+  if (nd * p < 10.0) {
+    // Inversion: walk the pmf up from 0 with the ratio recurrence
+    // P(x) = P(x - 1) * ((n + 1) r / x - r). P(0) >= e^-10 here, so the
+    // walk is short; it stops once the remaining terms are below 2^-60.
+    const double u = UniformDouble();
+    double pmf = std::exp(nd * std::log1p(-p));
+    KahanSum cdf;
+    cdf.Add(pmf);
+    int64_t x = 0;
+    while (u >= cdf.Total() && x < n) {
+      ++x;
+      const double next = pmf * ((nd + 1.0) * r / static_cast<double>(x) - r);
+      if (next < 0x1.0p-60 && next < pmf) break;
+      pmf = next;
+      cdf.Add(pmf);
+    }
+    return x;
   }
-  // Geometric waiting-time method: expected O(n*p) iterations.
-  const double log_q = std::log1p(-p);
-  int64_t count = 0;
-  double position = 0.0;
+  // Hörmann's BTRD (transformed rejection with decomposition), exact for
+  // n*p >= 10; expected O(1) trials.
+  const int64_t mode = static_cast<int64_t>((nd + 1.0) * p);
+  const double nr = (nd + 1.0) * r;
+  const double npq = nd * p * q;
+  const double sqrt_npq = std::sqrt(npq);
+  const double b = 1.15 + 2.53 * sqrt_npq;
+  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
+  const double c = nd * p + 0.5;
+  const double alpha = (2.83 + 5.1 / b) * sqrt_npq;
+  const double v_r = 0.92 - 4.2 / b;
+  const double u_rv_r = 0.86 * v_r;
+  // Stirling-series remainder log(k!) - [(k + 1/2) log(k + 1) - (k + 1) +
+  // log(2 pi) / 2]; the series is accurate to ~1e-16 from k = 10 on.
+  constexpr double kHalfLog2Pi = 0.91893853320467274178;  // log(2 pi) / 2
+  const auto fc = [](int64_t k) {
+    const double kd = static_cast<double>(k);
+    if (k < 10) {
+      return LogGamma(kd + 1.0) - (kd + 0.5) * std::log(kd + 1.0) +
+             (kd + 1.0) - kHalfLog2Pi;
+    }
+    const double inv = 1.0 / (kd + 1.0);
+    const double inv2 = inv * inv;
+    return (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) * inv;
+  };
   while (true) {
-    // analyzer-allow(raw-accumulate): sequential waiting-time recurrence;
-    // each step consumes one draw, so this is stream-defining, not a sum.
-    position += std::floor(std::log1p(-UniformDouble()) / log_q) + 1.0;
-    if (position > static_cast<double>(n)) return count;
-    ++count;
+    double v = UniformDouble();
+    double u;
+    if (v <= u_rv_r) {
+      // Immediate acceptance in the hat's central box.
+      u = v / v_r - 0.43;
+      return static_cast<int64_t>(
+          std::floor((2.0 * a / (0.5 - std::fabs(u)) + b) * u + c));
+    }
+    if (v >= v_r) {
+      u = UniformDouble() - 0.5;
+    } else {
+      u = v / v_r - 0.93;
+      u = (u < 0.0 ? -0.5 : 0.5) - u;
+      v = UniformDouble() * v_r;
+    }
+    const double us = 0.5 - std::fabs(u);
+    const double kf = std::floor((2.0 * a / us + b) * u + c);
+    if (!(kf >= 0.0 && kf <= nd)) continue;  // also rejects inf/NaN at us=0
+    const int64_t k = static_cast<int64_t>(kf);
+    v = v * alpha / (a / (us * us) + b);
+    const int64_t km = k > mode ? k - mode : mode - k;
+    if (km <= 15) {
+      // Evaluate f(k) / f(mode) by the pmf's ratio recurrence.
+      double f = 1.0;
+      for (int64_t i = mode + 1; i <= k; ++i) {
+        f *= nr / static_cast<double>(i) - r;
+      }
+      for (int64_t i = k + 1; i <= mode; ++i) {
+        v *= nr / static_cast<double>(i) - r;
+      }
+      if (v <= f) return k;
+      continue;
+    }
+    // Squeeze on log f(k) / f(mode), then the exact Stirling test.
+    v = std::log(v);
+    const double kmd = static_cast<double>(km);
+    const double rho =
+        (kmd / npq) * (((kmd / 3.0 + 0.625) * kmd + 1.0 / 6.0) / npq + 0.5);
+    const double t = -kmd * kmd / (2.0 * npq);
+    if (v < t - rho) return k;
+    if (v > t + rho) continue;
+    const double nm = static_cast<double>(n - mode + 1);
+    const double h =
+        (static_cast<double>(mode) + 0.5) *
+            std::log((static_cast<double>(mode) + 1.0) / (r * nm)) +
+        fc(mode) + fc(n - mode);
+    const double nk = static_cast<double>(n - k + 1);
+    if (v <= h + (nd + 1.0) * std::log(nm / nk) +
+                 (kf + 0.5) * std::log(nk * r / (kf + 1.0)) - fc(k) -
+                 fc(n - k)) {
+      return k;
+    }
   }
 }
 

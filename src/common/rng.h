@@ -48,7 +48,10 @@ class Rng {
   static constexpr uint64_t max() { return ~uint64_t{0}; }
 
   /// Returns a uniform double in [0, 1) with 53 random bits of mantissa.
-  double UniformDouble();
+  /// Inline: the count-level samplers draw one per column or coin.
+  double UniformDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Returns a uniform double in [lo, hi).
   double UniformDouble(double lo, double hi);
@@ -84,9 +87,9 @@ class Rng {
   /// rejection for large means; O(1) expected time for all means.
   int64_t Poisson(double mean);
 
-  /// Binomial(n, p) variate. Requires n >= 0 and p in [0, 1]. Uses direct
-  /// Bernoulli summation for small n and geometric waiting-time skips
-  /// otherwise (O(n*p) expected).
+  /// Binomial(n, p) variate. Requires n >= 0 and p in [0, 1]. Reflects
+  /// p > 1/2 to 1 - p, then uses inversion when n*p < 10 and Hörmann's
+  /// BTRD transformed rejection otherwise; O(1) expected time for all n, p.
   int64_t Binomial(int64_t n, double p);
 
   /// Gamma(shape, 1) variate. Requires shape > 0 (Marsaglia-Tsang; boosted

@@ -27,12 +27,13 @@ CountVector CountVector::Sparse(size_t n) {
 }
 
 CountVector CountVector::ShapedFor(size_t n, int64_t expected_samples) {
+  return PrefersSparse(n, expected_samples) ? Sparse(n) : CountVector(n);
+}
+
+bool CountVector::PrefersSparse(size_t n, int64_t expected_samples) {
   HISTEST_CHECK_GE(expected_samples, 0);
-  if (expected_samples <
-      static_cast<int64_t>(n / static_cast<size_t>(kSparseDomainFraction))) {
-    return Sparse(n);
-  }
-  return CountVector(n);
+  return expected_samples <
+         static_cast<int64_t>(n / static_cast<size_t>(kSparseDomainFraction));
 }
 
 CountVector CountVector::FromSamples(size_t n,

@@ -37,6 +37,9 @@ class CountVector {
   /// through this so the whole pipeline agrees on one policy.
   static CountVector ShapedFor(size_t n, int64_t expected_samples);
 
+  /// The mode ShapedFor(n, expected_samples) picks, without allocating.
+  static bool PrefersSparse(size_t n, int64_t expected_samples);
+
   /// Builds counts from raw samples; every sample must be < n.
   static CountVector FromSamples(size_t n, const std::vector<size_t>& samples);
 

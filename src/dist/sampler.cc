@@ -1,6 +1,7 @@
 #include "dist/sampler.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.h"
@@ -10,6 +11,66 @@
 #include "obs/names.h"
 
 namespace histest {
+namespace {
+
+/// Poisson(mean) draws for AddCounts' columns. Below kTableLimit it is
+/// inversion through a cumulative table with a guide table, one uniform
+/// per draw; the guide has a power-of-two size, so u * size and cdf * size
+/// are exact and a lookup never lands past its answer. Above the limit
+/// the table would outgrow its use and Rng::Poisson takes over.
+class ColumnPoisson {
+ public:
+  static constexpr double kTableLimit = 500.0;
+
+  explicit ColumnPoisson(double mean) : mean_(mean) {
+    if (mean >= kTableLimit) return;
+    KahanSum cdf;
+    double pmf = std::exp(-mean);
+    for (int64_t k = 0;; ++k) {
+      if (k > 0) pmf *= mean / static_cast<double>(k);
+      cdf.Add(pmf);
+      cdf_.push_back(cdf.Total());
+      // Past the mean the tail beyond a 1e-18 term is far below 2^-53.
+      if (static_cast<double>(k) > mean && pmf < 1e-18) break;
+    }
+    cdf_.back() = 1.0;  // u < 1, so every walk stops by the last entry
+    guide_.resize(std::bit_ceil(cdf_.size()));
+    const double scale = static_cast<double>(guide_.size());
+    uint32_t k = 0;
+    for (size_t g = 0; g < guide_.size(); ++g) {
+      while (cdf_[k] * scale <= static_cast<double>(g)) ++k;
+      guide_[g] = k;
+    }
+  }
+
+  int64_t Draw(Rng& rng) const {
+    if (guide_.empty()) return rng.Poisson(mean_);
+    const double u = rng.UniformDouble();
+    uint32_t k =
+        guide_[static_cast<size_t>(u * static_cast<double>(guide_.size()))];
+    while (cdf_[k] <= u) ++k;
+    return k;
+  }
+
+ private:
+  double mean_;
+  std::vector<double> cdf_;     // cdf_[k] = P(X <= k); last entry 1
+  std::vector<uint32_t> guide_;  // guide_[g] = min{k : cdf_[k] > g / size}
+};
+
+/// How many of a column's c draws keep the column (alias coin u < prob).
+int64_t SplitColumn(Rng& rng, int64_t c, double prob) {
+  if (prob >= 1.0) return c;
+  if (c > 32) return rng.Binomial(c, prob);
+  // UniformDouble() < prob, as an integer test: the uniform is k * 2^-53
+  // for the top 53 bits k of Next(), and prob * 2^53 is exact.
+  const uint64_t below = static_cast<uint64_t>(std::ceil(prob * 0x1.0p53));
+  int64_t stay = 0;
+  for (int64_t i = 0; i < c; ++i) stay += (rng.Next() >> 11) < below ? 1 : 0;
+  return stay;
+}
+
+}  // namespace
 
 AliasSampler::AliasSampler(const Distribution& dist) { Build(dist.pmf()); }
 
@@ -91,6 +152,48 @@ void AliasSampler::SampleBatch(Rng& rng, size_t* out, int64_t count) const {
   }
 }
 
+void AliasSampler::AddCounts(Rng& rng, int64_t count,
+                             int64_t* counts) const {
+  HISTEST_CHECK_GE(count, 0);
+  const size_t n = prob_.size();
+  const double m = static_cast<double>(count);
+  const double mean = (m - 3.0 * std::sqrt(m)) / static_cast<double>(n);
+  int64_t drawn = 0;
+  if (mean > 0.0) {
+    const ColumnPoisson column(mean);
+    // One pass adds sign * (its counts) and returns its total. The total
+    // is Poisson(count - 3 sqrt(count)), so it exceeds count with
+    // probability ~0.13%; such a pass is replayed from its saved Rng with
+    // sign -1, which removes exactly what it added, and drawn again.
+    const auto pass = [&](Rng& r, int64_t sign) {
+      int64_t total = 0;
+      for (size_t j = 0; j < n; ++j) {
+        const int64_t draws = column.Draw(r);
+        if (draws == 0) continue;
+        total += draws;
+        const int64_t stay = SplitColumn(r, draws, prob_[j]);
+        counts[j] += sign * stay;
+        counts[alias_[j]] += sign * (draws - stay);
+      }
+      return total;
+    };
+    while (true) {
+      Rng replay = rng;
+      drawn = pass(rng, 1);
+      if (drawn <= count) break;
+      pass(replay, -1);
+    }
+  }
+  constexpr int64_t kChunk = 1024;
+  size_t buffer[kChunk];
+  while (drawn < count) {
+    const int64_t c = std::min(count - drawn, kChunk);
+    SampleBatch(rng, buffer, c);
+    for (int64_t i = 0; i < c; ++i) ++counts[buffer[i]];
+    drawn += c;
+  }
+}
+
 std::vector<size_t> AliasSampler::SampleMany(Rng& rng, size_t count) const {
   std::vector<size_t> out(count);
   SampleBatch(rng, out.data(), static_cast<int64_t>(count));
@@ -134,14 +237,6 @@ std::vector<int64_t> PoissonizedCounts(const Distribution& dist, double m,
   for (size_t i = 0; i < dist.size(); ++i) {
     counts[i] = rng.Poisson(m * dist[i]);
   }
-  return counts;
-}
-
-std::vector<int64_t> MultinomialCounts(const AliasSampler& sampler, int64_t m,
-                                       Rng& rng) {
-  HISTEST_CHECK_GE(m, 0);
-  std::vector<int64_t> counts(sampler.size(), 0);
-  for (int64_t s = 0; s < m; ++s) ++counts[sampler.Sample(rng)];
   return counts;
 }
 

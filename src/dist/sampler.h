@@ -34,6 +34,16 @@ class AliasSampler {
   /// Draws `count` samples.
   std::vector<size_t> SampleMany(Rng& rng, size_t count) const;
 
+  /// Adds the counts of `count` iid samples to counts[0, size()): an exact
+  /// Multinomial(count, pmf) draw in O(size() + sqrt(count)) expected time,
+  /// not O(count). Each column takes a Poisson(lambda) number of draws,
+  /// lambda = (count - 3 sqrt(count)) / size(), split between the column
+  /// and its alias by the alias coin; given their total s <= count this is
+  /// Multinomial(s), and count - s SampleBatch draws top it up (a pass
+  /// with s > count is undone and redrawn). Not stream-identical to
+  /// SampleBatch; deterministic for a given Rng state.
+  void AddCounts(Rng& rng, int64_t count, int64_t* counts) const;
+
   /// Read-only views of the alias table, for the per-variant resolve
   /// benchmarks and the scalar-vs-AVX2 resolve tests.
   const std::vector<double>& prob() const { return prob_; }
@@ -72,10 +82,6 @@ class PiecewiseSampler {
 /// Poissonization of drawing Poisson(m) iid samples (Section 2 of the
 /// paper). Returns the count vector; O(n) expected time.
 std::vector<int64_t> PoissonizedCounts(const Distribution& dist, double m,
-                                       Rng& rng);
-
-/// Draws exactly `m` iid samples and returns their count vector.
-std::vector<int64_t> MultinomialCounts(const AliasSampler& sampler, int64_t m,
                                        Rng& rng);
 
 }  // namespace histest

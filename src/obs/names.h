@@ -70,7 +70,7 @@
   X(kOracleCountsSparse, "histest.oracle.counts_sparse", counter,              \
     "DrawCounts calls that produced a sparse CountVector")                     \
   X(kOracleCountsDense, "histest.oracle.counts_dense", counter,                \
-    "DrawCounts calls that produced a dense CountVector")                      \
+    "dense DrawCounts calls (drawn at the count level on alias tables)")       \
   /* ---- fit DP cost probes (src/histogram/fit_dp.cc) ---- */                 \
   /* No longer emitted; the next benchmark change drops it (bench/e2e). */     \
   X(kFitDpL1ReferenceCostProbes,                                               \

@@ -57,9 +57,22 @@ void DistributionOracle::DrawBatch(size_t* out, int64_t count) {
 
 CountVector DistributionOracle::DrawCounts(int64_t count) {
   HISTEST_CHECK_GE(count, 0);
-  CountVector cv = CountVector::ShapedFor(domain_size_, count);
+  drawn_ += count;
+  obs::AddCount(obs::names::kOracleCountsSamples, count);
+  const bool sparse = CountVector::PrefersSparse(domain_size_, count);
+  obs::AddCount(sparse ? obs::names::kOracleCountsSparse
+                       : obs::names::kOracleCountsDense,
+                1);
+  if (!sparse && alias_ != nullptr) {
+    // Dense storage costs O(n) anyway: draw the whole count vector at the
+    // count level in O(n) too, an exact multinomial over the alias table.
+    std::vector<int64_t> counts(domain_size_, 0);
+    alias_->AddCounts(rng_, count, counts.data());
+    return CountVector::FromCounts(std::move(counts));
+  }
   // Sample in cache-resident chunks straight off the shared tables; the
   // stream (and hence the counts) is identical to `count` Draw() calls.
+  CountVector cv = CountVector::ShapedFor(domain_size_, count);
   constexpr int64_t kChunk = 4096;
   size_t buffer[kChunk];
   int64_t left = count;
@@ -73,11 +86,6 @@ CountVector DistributionOracle::DrawCounts(int64_t count) {
     cv.AddSamples(buffer, c);
     left -= c;
   }
-  drawn_ += count;
-  obs::AddCount(obs::names::kOracleCountsSamples, count);
-  obs::AddCount(cv.is_sparse() ? obs::names::kOracleCountsSparse
-                               : obs::names::kOracleCountsDense,
-                1);
   return cv;
 }
 

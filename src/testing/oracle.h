@@ -19,6 +19,13 @@ namespace histest {
 /// (e.g. the parallel trials of EstimateAcceptanceParallel) can share one
 /// O(n) table instead of each rebuilding it; only the Rng stream is
 /// per-oracle state.
+///
+/// Draw, DrawBatch and sparse-shaped DrawCounts are stream-identical to
+/// repeated Draw() calls. A dense-shaped DrawCounts (count >= n/8, see
+/// CountVector::ShapedFor) on the alias backend is drawn at the count level
+/// by AliasSampler::AddCounts: O(n) work, an exact multinomial over the
+/// same table, but a different use of the Rng stream. The piecewise
+/// backend always uses the stream.
 class DistributionOracle : public SampleOracle {
  public:
   DistributionOracle(const Distribution& dist, uint64_t seed);
@@ -27,8 +34,8 @@ class DistributionOracle : public SampleOracle {
   /// densifying (the piecewise function is normalized internally).
   DistributionOracle(const PiecewiseConstant& pwc, uint64_t seed);
 
-  /// Shares a prebuilt sampler (no O(n) construction). The sample stream
-  /// for a given seed is identical to the table-owning constructors'.
+  /// Shares a prebuilt sampler (no O(n) construction). The draws for a
+  /// given seed are identical to the table-owning constructors'.
   DistributionOracle(std::shared_ptr<const AliasSampler> sampler,
                      uint64_t seed);
   DistributionOracle(std::shared_ptr<const PiecewiseSampler> sampler,

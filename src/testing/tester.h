@@ -42,9 +42,12 @@ class SampleOracle {
 
   /// Draws `count` samples and returns their count vector. The
   /// representation is chosen by CountVector::ShapedFor (sparse when count
-  /// is far below the domain size), and the observed counts are defined to
-  /// be identical to `count` repeated Draw() calls. Backends override this
-  /// to fill the counts straight from batched draws.
+  /// is far below the domain size). The counts are distributed as `count`
+  /// iid Draw() calls; this base implementation makes exactly those calls,
+  /// so it is the stream reference. Backends override it: to fill the
+  /// counts from batched draws (stream-identical), or, for dense shapes,
+  /// to draw the whole vector at the count level (exact in distribution,
+  /// not stream-identical; see DistributionOracle).
   virtual CountVector DrawCounts(int64_t count);
 
   /// Draws `count` samples.

@@ -1,7 +1,9 @@
 /// Equivalence guarantees of the batched sampling pipeline: batched draws
-/// are stream-identical to scalar draws, sparse count vectors are
-/// observation-identical to dense ones, and the end-to-end tester verdicts
-/// are bit-identical to the scalar/dense (pre-batching) path.
+/// are stream-identical to scalar draws, sparse DrawCounts are
+/// stream-identical to per-sample counting (dense alias ones are exact in
+/// distribution instead, see test_sampler.cc), sparse count vectors are
+/// observation-identical to dense ones, and over one sample stream the
+/// end-to-end tester verdicts do not depend on the storage mode.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -18,24 +20,34 @@
 namespace histest {
 namespace {
 
-/// Replicates the pre-batching oracle behaviour: per-sample virtual
-/// dispatch and a dense count vector, over the same underlying stream.
-class ScalarDenseOracle : public SampleOracle {
+/// The sample-stream reference: DistributionOracle's draws, counted one
+/// Draw() at a time by the base-class DrawCounts into the storage
+/// CountVector::ShapedFor picks (sparse or dense).
+class StreamOracle : public SampleOracle {
  public:
-  ScalarDenseOracle(const Distribution& dist, uint64_t seed)
-      : inner_(dist, seed) {}
+  StreamOracle(const Distribution& dist, uint64_t seed) : inner_(dist, seed) {}
 
   size_t DomainSize() const override { return inner_.DomainSize(); }
   size_t Draw() override { return inner_.Draw(); }
+  void DrawBatch(size_t* out, int64_t count) override {
+    inner_.DrawBatch(out, count);
+  }
   int64_t SamplesDrawn() const override { return inner_.SamplesDrawn(); }
+
+ private:
+  DistributionOracle inner_;
+};
+
+/// The same stream, always counted into dense storage.
+class ScalarDenseOracle : public StreamOracle {
+ public:
+  using StreamOracle::StreamOracle;
+
   CountVector DrawCounts(int64_t count) override {
     CountVector cv(DomainSize());
     for (int64_t i = 0; i < count; ++i) cv.Add(Draw());
     return cv;
   }
-
- private:
-  DistributionOracle inner_;
 };
 
 TEST(BatchedDrawTest, AliasBatchIsStreamIdenticalToScalar) {
@@ -66,6 +78,9 @@ TEST(BatchedDrawTest, PiecewiseBatchIsStreamIdenticalToScalar) {
 }
 
 TEST(BatchedDrawTest, BulkDrawCountsMatchesBaseImplementation) {
+  // Sparse shapes (m < 300/8) and the piecewise backend stay bit-identical
+  // to the base-class (per-Draw) counts; dense alias shapes are drawn at
+  // the count level, so there only the total and the accounting match.
   Rng gen(23);
   const auto dist = MakeZipf(300, 0.8).value();
   const auto pwc = MakeRandomKHistogram(300, 5, gen).value();
@@ -74,17 +89,20 @@ TEST(BatchedDrawTest, BulkDrawCountsMatchesBaseImplementation) {
       return backend == 0 ? DistributionOracle(dist, seed)
                           : DistributionOracle(pwc, seed);
     };
-    for (const int64_t m : {int64_t{0}, int64_t{10}, int64_t{5000}}) {
+    for (const int64_t m :
+         {int64_t{0}, int64_t{10}, int64_t{36}, int64_t{37}, int64_t{5000}}) {
       DistributionOracle bulk = make(99);
       DistributionOracle scalar = make(99);
       const CountVector a = bulk.DrawCounts(m);
       // Explicitly invoke the base-class (per-Draw) implementation.
       const CountVector b = scalar.SampleOracle::DrawCounts(m);
+      ASSERT_EQ(a.total(), m);
       ASSERT_EQ(a.total(), b.total());
       ASSERT_EQ(a.size(), b.size());
       EXPECT_EQ(a.is_sparse(), b.is_sparse());
-      for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
       EXPECT_EQ(bulk.SamplesDrawn(), scalar.SamplesDrawn());
+      if (backend == 0 && !a.is_sparse()) continue;
+      for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
     }
   }
 }
@@ -201,14 +219,14 @@ TEST(SparseCountsTest, SubLinearDrawNeverAllocatesDomainSizedBuffer) {
 }
 
 TEST(BatchedPipelineTest, HistogramTesterVerdictBitIdenticalToScalarDense) {
-  // End-to-end determinism contract: the batched+sparse pipeline must
-  // reproduce the scalar+dense pipeline's verdicts, sample counts, and
+  // Over one sample stream, the sparse+dense storage the pipeline picks
+  // must reproduce the all-dense pipeline's verdicts, sample counts, and
   // stage reports exactly, for identical seeds.
   Rng gen(5);
   for (const size_t n : {size_t{512}, size_t{2048}}) {
     const auto dist =
         MakeRandomKHistogram(n, 4, gen).value().ToDistribution().value();
-    DistributionOracle batched(dist, 111);
+    StreamOracle batched(dist, 111);
     ScalarDenseOracle scalar(dist, 111);
     HistogramTester tester_a(4, 0.25, HistogramTesterOptions{}, 222);
     HistogramTester tester_b(4, 0.25, HistogramTesterOptions{}, 222);
@@ -226,7 +244,7 @@ TEST(BatchedPipelineTest, ApproxPartitionMatchesScalarDensePath) {
   Rng gen(11);
   const auto dist =
       MakeRandomKHistogram(4096, 6, gen).value().ToDistribution().value();
-  DistributionOracle batched(dist, 31);
+  StreamOracle batched(dist, 31);
   ScalarDenseOracle scalar(dist, 31);
   const auto a = ApproxPartition(batched, 100.0);
   const auto b = ApproxPartition(scalar, 100.0);

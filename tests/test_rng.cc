@@ -6,6 +6,8 @@
 #include <cmath>
 #include <vector>
 
+#include "common/math_util.h"
+
 namespace histest {
 namespace {
 
@@ -144,8 +146,8 @@ TEST_P(BinomialMomentsTest, MeanMatches) {
   EXPECT_NEAR(sum / trials, mean, 6.0 * sd + 0.01);
 }
 
-// Covers direct summation (n <= 64), waiting-time (n > 64), and the
-// p > 0.5 reflection.
+// Covers inversion (n*p < 10), BTRD (n*p >= 10), and the p > 0.5
+// reflection.
 INSTANTIATE_TEST_SUITE_P(
     Params, BinomialMomentsTest,
     ::testing::Values(std::pair<int64_t, double>{10, 0.3},
@@ -153,11 +155,83 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<int64_t, double>{1000, 0.01},
                       std::pair<int64_t, double>{1000, 0.9}));
 
+class BinomialPmfTest
+    : public ::testing::TestWithParam<std::pair<int64_t, double>> {};
+
+// Chi-square of 40,000 draws against the exact pmf, tail bins merged until
+// each expects >= 5 draws.
+TEST_P(BinomialPmfTest, MatchesExactPmf) {
+  const auto [n, p] = GetParam();
+  Rng rng(59);
+  const int trials = 40000;
+  std::vector<int64_t> seen(static_cast<size_t>(n) + 1, 0);
+  for (int i = 0; i < trials; ++i) {
+    const int64_t x = rng.Binomial(n, p);
+    ASSERT_GE(x, 0);
+    ASSERT_LE(x, n);
+    ++seen[static_cast<size_t>(x)];
+  }
+  double chi2 = 0.0;
+  double dof = -1.0;
+  double expected = 0.0;
+  int64_t observed = 0;
+  for (int64_t k = 0; k <= n; ++k) {
+    const double log_pmf = LogChoose(n, k) +
+                           static_cast<double>(k) * std::log(p) +
+                           static_cast<double>(n - k) * std::log1p(-p);
+    expected += trials * std::exp(log_pmf);
+    observed += seen[static_cast<size_t>(k)];
+    if (expected < 5.0 && k < n) continue;
+    const double d = static_cast<double>(observed) - expected;
+    chi2 += d * d / expected;
+    dof += 1.0;
+    expected = 0.0;
+    observed = 0;
+  }
+  // 0.999 quantile (Wilson-Hilferty).
+  const double h = 2.0 / (9.0 * dof);
+  const double limit = dof * std::pow(1.0 - h + 3.09 * std::sqrt(h), 3.0);
+  EXPECT_LT(chi2, limit) << "n " << n << " p " << p << " dof " << dof;
+}
+
+// n*p just below and at or above 10 (inversion | BTRD), the same pairs
+// reflected through p > 0.5, and a wide BTRD case whose squeeze and
+// Stirling tests run (|k - mode| > 15).
+INSTANTIATE_TEST_SUITE_P(
+    Boundary, BinomialPmfTest,
+    ::testing::Values(std::pair<int64_t, double>{40, 0.24},
+                      std::pair<int64_t, double>{40, 0.25},
+                      std::pair<int64_t, double>{1000, 0.0099},
+                      std::pair<int64_t, double>{1000, 0.0101},
+                      std::pair<int64_t, double>{40, 0.76},
+                      std::pair<int64_t, double>{40, 0.75},
+                      std::pair<int64_t, double>{1000, 0.9901},
+                      std::pair<int64_t, double>{1000, 0.9899},
+                      std::pair<int64_t, double>{5000, 0.3}));
+
 TEST(RngTest, BinomialEdgeCases) {
   Rng rng(41);
   EXPECT_EQ(rng.Binomial(0, 0.5), 0);
   EXPECT_EQ(rng.Binomial(100, 0.0), 0);
   EXPECT_EQ(rng.Binomial(100, 1.0), 100);
+}
+
+TEST(RngTest, BinomialHugeNReturnsInO1) {
+  // n = 10^12 takes constant time on every branch: inversion (n*p = 5),
+  // BTRD and its reflection.
+  Rng rng(61);
+  const int64_t n = 1000000000000;
+  for (const double p : {5e-12, 0.3, 0.7}) {
+    const double mean = static_cast<double>(n) * p;
+    const double sd = std::sqrt(mean * (1.0 - p));
+    for (int i = 0; i < 100; ++i) {
+      const int64_t x = rng.Binomial(n, p);
+      ASSERT_GE(x, 0);
+      ASSERT_LE(x, n);
+      EXPECT_LT(std::fabs(static_cast<double>(x) - mean), 8.0 * sd + 1.0)
+          << "p " << p;
+    }
+  }
 }
 
 TEST(RngTest, GammaMeanMatchesShape) {

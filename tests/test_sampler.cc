@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/rng.h"
 #include "dist/empirical.h"
@@ -115,10 +117,235 @@ TEST(PoissonizedCountsTest, MeansMatch) {
 TEST(MultinomialCountsTest, TotalsAreExact) {
   AliasSampler sampler(Distribution::UniformOver(8));
   Rng rng(21);
-  const auto counts = MultinomialCounts(sampler, 1234, rng);
+  std::vector<int64_t> counts(8, 0);
+  sampler.AddCounts(rng, 1234, counts.data());
   int64_t total = 0;
   for (int64_t c : counts) total += c;
   EXPECT_EQ(total, 1234);
+  // AddCounts adds to what is there.
+  sampler.AddCounts(rng, 66, counts.data());
+  total = 0;
+  for (int64_t c : counts) total += c;
+  EXPECT_EQ(total, 1300);
+}
+
+/// 0.999 quantile of chi-square with `dof` degrees of freedom
+/// (Wilson-Hilferty).
+double ChiSquareQuantile999(double dof) {
+  const double h = 2.0 / (9.0 * dof);
+  const double w = 1.0 - h + 3.09 * std::sqrt(h);
+  return dof * w * w * w;
+}
+
+/// First and second moments of `reps` AddCounts draws: the Pearson
+/// statistic of the summed counts (a sum of multinomials is multinomial,
+/// so it is chi-square with n - 1 dof), and the sample variance and
+/// covariance of the first `tracked` elements.
+struct CountMoments {
+  double pearson = 0.0;
+  double dof = 0.0;
+  std::vector<double> variance;
+  std::vector<std::vector<double>> covariance;
+};
+
+CountMoments MeasureAddCounts(const Distribution& dist, int64_t count,
+                              int reps, size_t tracked, uint64_t seed) {
+  const size_t n = dist.size();
+  AliasSampler sampler(dist);
+  Rng rng(seed);
+  std::vector<int64_t> sum(n, 0);
+  std::vector<std::vector<double>> cross(tracked,
+                                         std::vector<double>(tracked, 0.0));
+  std::vector<int64_t> counts(n);
+  for (int r = 0; r < reps; ++r) {
+    std::fill(counts.begin(), counts.end(), 0);
+    sampler.AddCounts(rng, count, counts.data());
+    int64_t total = 0;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_GE(counts[i], 0);
+      total += counts[i];
+      sum[i] += counts[i];
+    }
+    EXPECT_EQ(total, count) << "rep " << r;
+    for (size_t i = 0; i < tracked; ++i) {
+      for (size_t j = 0; j < tracked; ++j) {
+        cross[i][j] += static_cast<double>(counts[i] * counts[j]);
+      }
+    }
+  }
+  CountMoments out;
+  const double all = static_cast<double>(count) * reps;
+  for (size_t i = 0; i < n; ++i) {
+    const double expected = all * dist[i];
+    if (expected <= 0.0) {
+      EXPECT_EQ(sum[i], 0) << i;
+      continue;
+    }
+    const double d = static_cast<double>(sum[i]) - expected;
+    out.pearson += d * d / expected;
+    out.dof += 1.0;
+  }
+  out.dof -= 1.0;
+  out.covariance.assign(tracked, std::vector<double>(tracked, 0.0));
+  for (size_t i = 0; i < tracked; ++i) {
+    for (size_t j = 0; j < tracked; ++j) {
+      const double mi = static_cast<double>(sum[i]) / reps;
+      const double mj = static_cast<double>(sum[j]) / reps;
+      out.covariance[i][j] = (cross[i][j] - reps * mi * mj) / (reps - 1);
+    }
+    out.variance.push_back(out.covariance[i][i]);
+  }
+  return out;
+}
+
+/// Checks mean, variance count p (1 - p) and covariance -count p_i p_j
+/// of the first `tracked` elements against the multinomial, each within
+/// six standard errors. A Poissonized vector (variance count p,
+/// covariance 0) fails these for the heavy elements the cases put first.
+void ExpectMultinomialMoments(const Distribution& dist, int64_t count,
+                              size_t tracked, uint64_t seed) {
+  const int reps = 20000;
+  const CountMoments m = MeasureAddCounts(dist, count, reps, tracked, seed);
+  EXPECT_LT(m.pearson, ChiSquareQuantile999(m.dof))
+      << "dof " << m.dof << " count " << count;
+  const double c = static_cast<double>(count);
+  for (size_t i = 0; i < tracked; ++i) {
+    for (size_t j = 0; j < tracked; ++j) {
+      const double var_i = c * dist[i] * (1.0 - dist[i]);
+      const double var_j = c * dist[j] * (1.0 - dist[j]);
+      const double want = i == j ? var_i : -c * dist[i] * dist[j];
+      // se of a sample (co)variance: sqrt((var_i var_j + cov^2) / reps).
+      const double se = std::sqrt((var_i * var_j + want * want) / reps);
+      EXPECT_NEAR(m.covariance[i][j], want, 6.0 * se + 1e-9)
+          << "(" << i << ", " << j << ") count " << count;
+    }
+  }
+}
+
+/// Three heavy elements first (0.3, 0.2, 0.1), the rest of the mass spread
+/// unevenly so the alias table has columns with every kind of split.
+Distribution HeavyHeadPmf(size_t n) {
+  std::vector<double> w(n);
+  w[0] = 0.3;
+  w[1] = 0.2;
+  w[2] = 0.1;
+  double tail = 0.0;
+  for (size_t i = 3; i < n; ++i) tail += 1.0 + static_cast<double>(i % 7);
+  for (size_t i = 3; i < n; ++i) {
+    w[i] = 0.4 * (1.0 + static_cast<double>(i % 7)) / tail;
+  }
+  return Distribution::Create(w).value();
+}
+
+TEST(AddCountsTest, MultinomialJustAboveSparseCutover) {
+  // count = n/8 + 1: the smallest dense shape, lambda ~ 0.09 per column.
+  ExpectMultinomialMoments(HeavyHeadPmf(1024), 129, 4, 101);
+}
+
+TEST(AddCountsTest, MultinomialBernoulliSplit) {
+  // count / n = 20: columns mostly split by summed coin flips.
+  ExpectMultinomialMoments(HeavyHeadPmf(256), 20 * 256, 4, 102);
+}
+
+TEST(AddCountsTest, MultinomialBinomialSplitFromTable) {
+  // count / n = 200: table-drawn columns split by Binomial.
+  ExpectMultinomialMoments(HeavyHeadPmf(64), 200 * 64, 4, 103);
+}
+
+TEST(AddCountsTest, MultinomialBinomialSplitLargeColumns) {
+  // count / n = 1250: columns past the table limit (Rng::Poisson).
+  ExpectMultinomialMoments(HeavyHeadPmf(16), 1250 * 16, 4, 104);
+}
+
+TEST(AddCountsTest, MultinomialUniformPmf) {
+  // Every prob_ is 1: no column splits at all.
+  AliasSampler sampler(Distribution::UniformOver(256));
+  for (double p : sampler.prob()) ASSERT_EQ(p, 1.0);
+  ExpectMultinomialMoments(Distribution::UniformOver(256), 3000, 3, 105);
+}
+
+TEST(AddCountsTest, PointMassGetsEveryCount) {
+  AliasSampler sampler(Distribution::PointMass(500, 123));
+  Rng rng(106);
+  for (const int64_t count : {int64_t{63}, int64_t{5000}, int64_t{2000000}}) {
+    std::vector<int64_t> counts(500, 0);
+    sampler.AddCounts(rng, count, counts.data());
+    for (size_t i = 0; i < counts.size(); ++i) {
+      EXPECT_EQ(counts[i], i == 123 ? count : 0) << i;
+    }
+  }
+}
+
+TEST(AddCountsTest, SameSeedSameVector) {
+  const auto dist = HeavyHeadPmf(4096);
+  AliasSampler sampler(dist);
+  for (const int64_t count : {int64_t{600}, int64_t{80000}, int64_t{9000000}}) {
+    Rng a(107), b(107);
+    std::vector<int64_t> ca(dist.size(), 0), cb(dist.size(), 0);
+    sampler.AddCounts(a, count, ca.data());
+    sampler.AddCounts(b, count, cb.data());
+    EXPECT_EQ(ca, cb) << count;
+    EXPECT_EQ(a.Next(), b.Next());  // and both streams end in one place
+  }
+}
+
+/// Two-sample chi-square of the values two samplers give one element:
+/// bins merged left to right until each holds >= 20 of both samples.
+double TwoSampleChiSquare(const std::vector<int64_t>& a,
+                          const std::vector<int64_t>& b, double* dof) {
+  const int64_t hi =
+      std::max(*std::max_element(a.begin(), a.end()),
+               *std::max_element(b.begin(), b.end()));
+  std::vector<int64_t> ha(static_cast<size_t>(hi) + 1, 0), hb(ha);
+  for (int64_t v : a) ++ha[static_cast<size_t>(v)];
+  for (int64_t v : b) ++hb[static_cast<size_t>(v)];
+  double chi2 = 0.0;
+  *dof = -1.0;
+  int64_t bin_a = 0, bin_b = 0;
+  for (size_t v = 0; v < ha.size(); ++v) {
+    bin_a += ha[v];
+    bin_b += hb[v];
+    if (bin_a + bin_b < 20 && v + 1 < ha.size()) continue;
+    const double d = static_cast<double>(bin_a - bin_b);
+    chi2 += d * d / static_cast<double>(bin_a + bin_b);
+    *dof += 1.0;
+    bin_a = bin_b = 0;
+  }
+  return chi2;
+}
+
+TEST(AddCountsTest, MarginalsMatchTheSampleStream) {
+  // Per-element marginals of the count-level draw against counts built
+  // one alias sample at a time, for heavy, middling and light elements.
+  for (const auto& [n, count] : {std::pair<size_t, int64_t>{1024, 200},
+                                 std::pair<size_t, int64_t>{64, 1280}}) {
+    const auto dist = HeavyHeadPmf(n);
+    AliasSampler sampler(dist);
+    Rng count_rng(108), stream_rng(109);
+    const int reps = 5000;
+    const std::vector<size_t> watched = {0, 1, 2, 3, n - 1};
+    std::vector<std::vector<int64_t>> by_counts(watched.size()),
+        by_stream(watched.size());
+    std::vector<int64_t> counts(n);
+    for (int r = 0; r < reps; ++r) {
+      std::fill(counts.begin(), counts.end(), 0);
+      sampler.AddCounts(count_rng, count, counts.data());
+      for (size_t w = 0; w < watched.size(); ++w) {
+        by_counts[w].push_back(counts[watched[w]]);
+      }
+      std::fill(counts.begin(), counts.end(), 0);
+      for (int64_t s = 0; s < count; ++s) ++counts[sampler.Sample(stream_rng)];
+      for (size_t w = 0; w < watched.size(); ++w) {
+        by_stream[w].push_back(counts[watched[w]]);
+      }
+    }
+    for (size_t w = 0; w < watched.size(); ++w) {
+      double dof = 0.0;
+      const double chi2 = TwoSampleChiSquare(by_counts[w], by_stream[w], &dof);
+      EXPECT_LT(chi2, ChiSquareQuantile999(std::max(dof, 1.0)))
+          << "n " << n << " element " << watched[w] << " dof " << dof;
+    }
+  }
 }
 
 }  // namespace
