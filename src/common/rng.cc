@@ -127,8 +127,8 @@ int64_t Rng::Binomial(int64_t n, double p) {
   const double r = p / q;
   if (nd * p < 10.0) {
     // Inversion: walk the pmf up from 0 with the ratio recurrence
-    // P(x) = P(x - 1) * ((n + 1) r / x - r). P(0) >= e^-10 here, so the
-    // walk is short; it stops once the remaining terms are below 2^-60.
+    // P(x) = P(x - 1) * ((n + 1) r / x - r). The walk is short because
+    // n*p < 10; it stops once the remaining terms are below 2^-60.
     const double u = UniformDouble();
     double pmf = std::exp(nd * std::log1p(-p));
     KahanSum cdf;

@@ -17,7 +17,8 @@ namespace {
 /// inversion through a cumulative table with a guide table, one uniform
 /// per draw; the guide has a power-of-two size, so u * size and cdf * size
 /// are exact and a lookup never lands past its answer. Above the limit
-/// the table would outgrow its use and Rng::Poisson takes over.
+/// the table would outgrow its use, and exp(-mean) would near underflow
+/// past ~745, so Rng::Poisson takes over.
 class ColumnPoisson {
  public:
   static constexpr double kTableLimit = 500.0;
@@ -161,27 +162,21 @@ void AliasSampler::AddCounts(Rng& rng, int64_t count,
   int64_t drawn = 0;
   if (mean > 0.0) {
     const ColumnPoisson column(mean);
-    // One pass adds sign * (its counts) and returns its total. The total
-    // is Poisson(count - 3 sqrt(count)), so it exceeds count with
-    // probability ~0.13%; such a pass is replayed from its saved Rng with
-    // sign -1, which removes exactly what it added, and drawn again.
-    const auto pass = [&](Rng& r, int64_t sign) {
-      int64_t total = 0;
-      for (size_t j = 0; j < n; ++j) {
-        const int64_t draws = column.Draw(r);
-        if (draws == 0) continue;
-        total += draws;
-        const int64_t stay = SplitColumn(r, draws, prob_[j]);
-        counts[j] += sign * stay;
-        counts[alias_[j]] += sign * (draws - stay);
-      }
-      return total;
-    };
+    // The pass total is Poisson(count - 3 sqrt(count)), so it exceeds
+    // count with probability ~0.13%; such a pass is cleared and drawn
+    // again.
     while (true) {
-      Rng replay = rng;
-      drawn = pass(rng, 1);
+      drawn = 0;
+      for (size_t j = 0; j < n; ++j) {
+        const int64_t draws = column.Draw(rng);
+        if (draws == 0) continue;
+        drawn += draws;
+        const int64_t stay = SplitColumn(rng, draws, prob_[j]);
+        counts[j] += stay;
+        counts[alias_[j]] += draws - stay;
+      }
       if (drawn <= count) break;
-      pass(replay, -1);
+      std::fill(counts, counts + n, int64_t{0});
     }
   }
   constexpr int64_t kChunk = 1024;

@@ -34,14 +34,15 @@ class AliasSampler {
   /// Draws `count` samples.
   std::vector<size_t> SampleMany(Rng& rng, size_t count) const;
 
-  /// Adds the counts of `count` iid samples to counts[0, size()): an exact
-  /// Multinomial(count, pmf) draw in O(size() + sqrt(count)) expected time,
-  /// not O(count). Each column takes a Poisson(lambda) number of draws,
-  /// lambda = (count - 3 sqrt(count)) / size(), split between the column
-  /// and its alias by the alias coin; given their total s <= count this is
-  /// Multinomial(s), and count - s SampleBatch draws top it up (a pass
-  /// with s > count is undone and redrawn). Not stream-identical to
-  /// SampleBatch; deterministic for a given Rng state.
+  /// Writes the counts of `count` iid samples into counts[0, size()),
+  /// which must be zero on entry: an exact Multinomial(count, pmf) draw in
+  /// O(size() + sqrt(count)) expected time, not O(count). Each column takes
+  /// a Poisson(lambda) number of draws, lambda = (count - 3 sqrt(count)) /
+  /// size(), split between the column and its alias by the alias coin;
+  /// given their total s <= count this is Multinomial(s), and count - s
+  /// SampleBatch draws top it up (a pass with s > count is cleared and
+  /// redrawn). Not stream-identical to SampleBatch; deterministic for a
+  /// given Rng state.
   void AddCounts(Rng& rng, int64_t count, int64_t* counts) const;
 
   /// Read-only views of the alias table, for the per-variant resolve

@@ -122,11 +122,6 @@ TEST(MultinomialCountsTest, TotalsAreExact) {
   int64_t total = 0;
   for (int64_t c : counts) total += c;
   EXPECT_EQ(total, 1234);
-  // AddCounts adds to what is there.
-  sampler.AddCounts(rng, 66, counts.data());
-  total = 0;
-  for (int64_t c : counts) total += c;
-  EXPECT_EQ(total, 1300);
 }
 
 /// 0.999 quantile of chi-square with `dof` degrees of freedom
