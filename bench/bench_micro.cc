@@ -5,13 +5,11 @@
 
 #include <cmath>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "benchutil/parallel.h"
 #include "common/kernels.h"
 #include "common/rng.h"
-#include "common/simd/simd.h"
 #include "core/approx_part.h"
 #include "core/histogram_tester.h"
 #include "core/learner.h"
@@ -391,47 +389,6 @@ BENCHMARK(BM_HistogramTesterEndToEnd)
     ->Arg(1 << 14)
     ->Unit(benchmark::kMillisecond);
 
-// --- Alias resolve rows, one per implementation this CPU can run,
-// registered from main() because availability is a runtime CPUID question.
-// The (column, uniform) stream is pre-drawn once, so the loop measures pure
-// alias-row lookup + select throughput. The table is a 16-step staircase:
-// its prob values sit mid-range, as on the tester's k-histogram workloads,
-// which is where a branch on the select mispredicts (a Zipf table's
-// near-0/1 prob values hide that).
-
-void RunAliasResolveBench(benchmark::State& state,
-                          simd::ResolveAliasFn resolve) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto dist = MakeStaircase(n, 16).value().ToDistribution().value();
-  AliasSampler sampler(dist);
-  constexpr int64_t kBatch = 4096;
-  Rng rng(61);
-  std::vector<uint64_t> cols(kBatch);
-  std::vector<double> us(kBatch);
-  rng.FillPairs(n, cols.data(), us.data(), kBatch);
-  std::vector<size_t> out(kBatch);
-  for (auto _ : state) {
-    resolve(sampler.prob().data(), sampler.alias().data(), cols.data(),
-            us.data(), out.data(), kBatch);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch);
-}
-
-void RegisterAliasResolveBenchmarks() {
-  for (const simd::Variant v :
-       {simd::Variant::kScalar, simd::Variant::kAvx2}) {
-    const simd::ResolveAliasFn resolve = simd::ResolveAliasFor(v);
-    if (resolve == nullptr) continue;
-    benchmark::RegisterBenchmark(
-        (std::string("BM_AliasResolve_") + simd::VariantName(v)).c_str(),
-        [resolve](benchmark::State& s) { RunAliasResolveBench(s, resolve); })
-        ->Arg(1 << 14)
-        ->Arg(1 << 18);
-  }
-}
-
 // --- Fused single-pass rows vs their materialize-then-reduce baselines.
 // Each BM_Fused* row streams the producer's compressed/integer form through
 // the reduction once; the paired BM_Materialize* row performs the pre-fusion
@@ -646,21 +603,13 @@ BENCHMARK(BM_ObsRecorderEventDisabled);
 }  // namespace histest
 
 // Custom main (replacing BENCHMARK_MAIN) so every bench JSON artifact
-// records the probed CPU features and the alias-resolve variant in its
-// context header — per-runner trajectories stay interpretable — and so the
-// resolve rows can be registered after the runtime CPU probe.
+// carries the full provenance record (git describe, build type, CPU
+// features, env knobs, ...) as a JSON-valued context key, so
+// tools/histest-obs can refuse to diff bench runs whose load-bearing
+// configuration differs.
 int main(int argc, char** argv) {
-  benchmark::AddCustomContext("histest_cpu_features",
-                              histest::simd::DetectCpuFeatures().ToString());
-  benchmark::AddCustomContext(
-      "histest_simd_variant",
-      histest::simd::VariantName(histest::simd::ActiveVariant()));
-  // Full provenance record (git describe, build type, env knobs, ...) as a
-  // JSON-valued context key, so tools/histest-obs can refuse to diff bench
-  // runs whose load-bearing configuration differs.
   benchmark::AddCustomContext(
       "histest_manifest", histest::obs::CurrentRunManifest().ToJson());
-  histest::RegisterAliasResolveBenchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

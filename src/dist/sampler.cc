@@ -6,9 +6,6 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
-#include "common/simd/simd.h"
-#include "obs/metrics.h"
-#include "obs/names.h"
 
 namespace histest {
 namespace {
@@ -71,6 +68,28 @@ int64_t SplitColumn(Rng& rng, int64_t c, double prob) {
   return stay;
 }
 
+/// SampleBatch's table pass: out[i] = us[i] < prob[cols[i]] ? cols[i] :
+/// alias[cols[i]], the comparison Sample() makes. The (column, alias) cache
+/// lines are prefetched a few iterations ahead: for tables beyond the L2
+/// cache this pass is latency-bound. The select is a mask, not a branch:
+/// on k-histogram tables prob[column] sits mid-range, so a branch on the
+/// comparison mispredicts about every other sample.
+void ResolveAlias(const double* prob, const size_t* alias,
+                  const uint64_t* cols, const double* us, size_t* out,
+                  int64_t count) {
+  constexpr int64_t kAhead = 16;
+  for (int64_t i = 0; i < count; ++i) {
+    if (i + kAhead < count) {
+      const uint64_t ahead = cols[i + kAhead];
+      __builtin_prefetch(prob + ahead, 0, 1);
+      __builtin_prefetch(alias + ahead, 0, 1);
+    }
+    const size_t column = static_cast<size_t>(cols[i]);
+    const size_t keep = size_t{0} - static_cast<size_t>(us[i] < prob[column]);
+    out[i] = (column & keep) | (alias[column] & ~keep);
+  }
+}
+
 }  // namespace
 
 AliasSampler::AliasSampler(const Distribution& dist) { Build(dist.pmf()); }
@@ -131,15 +150,9 @@ size_t AliasSampler::Sample(Rng& rng) const {
 void AliasSampler::SampleBatch(Rng& rng, size_t* out, int64_t count) const {
   // Identical arithmetic to Sample(), restructured into two passes per
   // chunk: first the pure-RNG pass (inline xoshiro, no memory traffic),
-  // then the table-resolution pass (an AVX2 gather where the CPU has it,
-  // a branch-free prefetched loop otherwise). Both resolves make the same
-  // `u < prob[col]` comparison, so the output stream is bit-identical to
-  // repeated Sample() calls on any CPU.
-  const simd::ResolveAliasFn resolve =
-      simd::ResolveAliasFor(simd::ActiveVariant());
-  obs::AddCount(obs::names::kSimdAliasResolveCalls, 1);
-  const double* prob = prob_.data();
-  const size_t* alias = alias_.data();
+  // then the table-resolution pass, which makes the same `u < prob[col]`
+  // comparison, so the output stream is bit-identical to repeated Sample()
+  // calls.
   const uint64_t n = prob_.size();
   constexpr int64_t kChunk = 1024;
   uint64_t cols[kChunk];
@@ -148,7 +161,7 @@ void AliasSampler::SampleBatch(Rng& rng, size_t* out, int64_t count) const {
   while (done < count) {
     const int64_t c = std::min(count - done, kChunk);
     rng.FillPairs(n, cols, us, c);
-    resolve(prob, alias, cols, us, out + done, c);
+    ResolveAlias(prob_.data(), alias_.data(), cols, us, out + done, c);
     done += c;
   }
 }

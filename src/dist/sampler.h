@@ -45,10 +45,8 @@ class AliasSampler {
   /// given Rng state.
   void AddCounts(Rng& rng, int64_t count, int64_t* counts) const;
 
-  /// Read-only views of the alias table, for the per-variant resolve
-  /// benchmarks and the scalar-vs-AVX2 resolve tests.
+  /// Read-only view of the alias table's keep probabilities.
   const std::vector<double>& prob() const { return prob_; }
-  const std::vector<size_t>& alias() const { return alias_; }
 
  private:
   void Build(std::vector<double> weights);

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "benchutil/parallel.h"
-#include "common/simd/simd.h"
 #include "obs/metrics.h"
 #include "obs/version_info.h"
 
@@ -17,6 +16,20 @@ void AppendJsonString(std::string& out, const std::string& s) {
   out += '"';
   out += JsonEscape(s);
   out += '"';
+}
+
+/// The CPU's SIMD level, probed on every call (manifests are built a few
+/// times per process), e.g. "arch=x86-64 simd=avx2".
+std::string CpuFeatures() {
+#if defined(__x86_64__) || defined(__i386__)
+  std::string out = "arch=x86-64 simd=";
+  out += __builtin_cpu_supports("avx2") != 0 ? "avx2" : "none";
+  return out;
+#elif defined(__aarch64__)
+  return "arch=aarch64 simd=none";
+#else
+  return "arch=other simd=none";
+#endif
 }
 
 }  // namespace
@@ -32,8 +45,6 @@ std::string RunManifest::ToJson(bool include_timestamp) const {
   AppendJsonString(out, compiler);
   out += ",\"cpu_features\":";
   AppendJsonString(out, cpu_features);
-  out += ",\"simd_variant\":";
-  AppendJsonString(out, simd_variant);
   out += ",\"threads\":" + std::to_string(threads);
   out += ",\"pool_workers\":" + std::to_string(pool_workers);
   out += ",\"timestamp_unix_ms\":" +
@@ -69,8 +80,7 @@ RunManifest CurrentRunManifest() {
   m.git_describe = HISTEST_GIT_DESCRIBE;
   m.build_type = HISTEST_BUILD_TYPE;
   m.compiler = HISTEST_MANIFEST_COMPILER;
-  m.cpu_features = simd::DetectCpuFeatures().ToString();
-  m.simd_variant = simd::VariantName(simd::ActiveVariant());
+  m.cpu_features = CpuFeatures();
   m.threads = DefaultBenchThreads();
   m.pool_workers = ThreadPool::SharedPlannedWorkers();
   // System (wall) clock on purpose: manifests are provenance for humans and

@@ -20,7 +20,7 @@ namespace obs {
 ///
 /// Bump when fields are added/removed/renamed; readers (tools/histest-trace,
 /// tools/histest-obs) refuse newer versions rather than guessing.
-inline constexpr int kManifestVersion = 1;
+inline constexpr int kManifestVersion = 2;
 
 /// Machine-readable field inventory: X(key, "description"). The JSON object
 /// produced by RunManifest::ToJson has exactly these keys, in this order.
@@ -36,8 +36,8 @@ inline constexpr int kManifestVersion = 1;
     "time; \"unknown\" when built outside a git checkout")                    \
   X(build_type, "CMAKE_BUILD_TYPE the library was compiled under")            \
   X(compiler, "compiler id and version that built the library")               \
-  X(cpu_features, "runtime CPUID probe summary (CpuFeatures)")                \
-  X(simd_variant, "alias-resolve variant chosen by CPUID: scalar or avx2")    \
+  X(cpu_features,                                                             \
+    "runtime CPU probe summary, e.g. \"arch=x86-64 simd=avx2\"")              \
   X(threads, "resolved executor count (DefaultBenchThreads)")                 \
   X(pool_workers,                                                             \
     "shared ThreadPool worker sizing (callers add one executor)")             \
@@ -58,7 +58,6 @@ struct RunManifest {
   std::string build_type;
   std::string compiler;
   std::string cpu_features;
-  std::string simd_variant;
   int threads = 0;
   int pool_workers = 0;
   /// 0 means "not stamped" (deterministic emitters zero it on purpose).
@@ -80,8 +79,8 @@ struct RunManifest {
   std::string ToJson(bool include_timestamp = true) const;
 };
 
-/// Captures the current process: compiled-in build identity, runtime CPU /
-/// alias-resolve state, thread sizing, and the full env-knob snapshot. `params` is
+/// Captures the current process: compiled-in build identity, runtime CPU
+/// features, thread sizing, and the full env-knob snapshot. `params` is
 /// left empty for the caller. The result is deterministic for a fixed
 /// binary + environment, except timestamp_unix_ms.
 RunManifest CurrentRunManifest();

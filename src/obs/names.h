@@ -104,9 +104,6 @@
   X(kKernelFusedCountsChiSquareCalls,                                          \
     "histest.kernel.fused_counts_chi_square.calls", counter,                   \
     "FusedCountsChiSquare calls")                                              \
-  /* ---- alias resolve (src/dist/sampler.cc) ---- */                          \
-  X(kSimdAliasResolveCalls, "histest.simd.alias_resolve.calls", counter,       \
-    "AliasSampler::SampleBatch resolve dispatches (scalar or AVX2)")           \
   /* ---- bench harness (bench/exp_common.h) ---- */                           \
   X(kBenchGridSeconds, "histest.bench.grid_seconds", histogram,                \
     "wall seconds per experiment grid sweep (ScopedTimer)")                    \

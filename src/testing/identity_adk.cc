@@ -3,7 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "common/check.h"
 #include "stats/poissonization.h"
 
 namespace histest {
@@ -51,10 +50,7 @@ Result<TestOutcome> AdkRestrictedIdentityTest(
 
 AdkIdentityTester::AdkIdentityTester(Distribution dstar, double eps,
                                      AdkOptions options, uint64_t seed)
-    : dstar_(std::move(dstar)), eps_(eps), options_(options), rng_(seed) {
-  HISTEST_CHECK_GT(eps_, 0.0);
-  HISTEST_CHECK_LE(eps_, 1.0);
-}
+    : dstar_(std::move(dstar)), eps_(eps), options_(options), rng_(seed) {}
 
 Result<TestOutcome> AdkIdentityTester::Test(SampleOracle& oracle) {
   const size_t n = dstar_.size();

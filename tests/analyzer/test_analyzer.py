@@ -42,7 +42,7 @@ DEST = {
     "rng_stream_bad.cc": "src/core/rng_stream_bad.cc",
     "rng_stream_good.cc": "src/core/rng_stream_good.cc",
     # simd-discipline scans every dir; src/dist/ placement proves the ban
-    # reaches hot-path code outside the dispatch layer.
+    # reaches the sampler's hot path.
     "simd_discipline_bad.cc": "src/dist/simd_discipline_bad.cc",
     "simd_discipline_good.cc": "src/dist/simd_discipline_good.cc",
     # lock-discipline scans every dir; src/benchutil/ placement mirrors the
@@ -167,42 +167,12 @@ class CheckerFixtureTest(unittest.TestCase):
         res = scan(["simd_discipline_good.cc"])
         self.assertEqual(res.findings, [])
 
-    def test_simd_discipline_exempts_avx2_resolve(self):
-        # The same intrinsics are the sanctioned implementation inside the
-        # AVX2 alias resolve TU: zero findings there.
-        root = make_tree([])
-        dest = root / "src" / "common" / "simd" / "resolve_avx2.cc"
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(FIXTURES / "simd_discipline_bad.cc", dest)
-        try:
-            res = engine.run_scan(root, checker_names=["simd-discipline"],
-                                  backend="internal")
-            self.assertEqual(res.findings, [])
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-
-    def test_simd_discipline_exemption_is_a_closed_list(self):
-        # A file under src/common/simd/ that is NOT the registered AVX2 TU
-        # (here: a stray helper next to the dispatch shell) gets no free
-        # pass — the exemption is the explicit TU list, not the directory.
-        root = make_tree([])
-        dest = root / "src" / "common" / "simd" / "helpers.cc"
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(FIXTURES / "simd_discipline_bad.cc", dest)
-        try:
-            res = engine.run_scan(root, checker_names=["simd-discipline"],
-                                  backend="internal")
-            self.assertGreater(len(res.findings), 0)
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-
     def test_raw_accumulate_exemption_is_a_closed_list(self):
         # Same closed-list contract for raw-accumulate: a naive float
         # accumulation is exempt inside the blocked kernels but flagged in
-        # any other file, including the dispatch shell under
-        # src/common/simd/.
+        # any other file, including another src/common/ file.
         for rel, expect_clean in (("src/common/kernels.cc", True),
-                                  ("src/common/simd/simd.cc", False)):
+                                  ("src/common/rng.cc", False)):
             root = make_tree([])
             dest = root / rel
             dest.parent.mkdir(parents=True, exist_ok=True)

@@ -2,8 +2,8 @@
 """Contract tests for tools/histest-obs diff over the committed fixtures.
 
 The fixtures seed a synthetic regression (the sieve stage 3x slower, the
-fused_counts_z kernel tally doubled) plus a run taken under a different
-alias-resolve variant. The tests pin down: stage attribution lands on the seeded
+fused_counts_z kernel tally doubled) plus a run taken at a different
+thread count. The tests pin down: stage attribution lands on the seeded
 stage, kernel tally deltas are reported, identical runs attribute nothing,
 and the load-bearing manifest gate refuses (exit 2) unless --force.
 """
@@ -19,7 +19,7 @@ HISTEST_OBS = ROOT / "tools" / "histest-obs"
 
 BASELINE = HERE / "baseline_summary.json"
 SLOW = HERE / "slow_sieve_summary.json"
-OTHER_SIMD = HERE / "other_simd_summary.json"
+OTHER_THREADS = HERE / "other_threads_summary.json"
 
 _failures = []
 
@@ -75,19 +75,19 @@ def test_identical_runs_attribute_nothing():
 
 def test_load_bearing_mismatch_gates():
     print("load-bearing manifest gate:")
-    proc = run_diff(str(BASELINE), str(OTHER_SIMD))
+    proc = run_diff(str(BASELINE), str(OTHER_THREADS))
     check("refused with exit 2", proc.returncode == 2, str(proc.returncode))
-    check("refusal names the field", "simd_variant" in proc.stderr,
+    check("refusal names the field", "threads" in proc.stderr,
           proc.stderr)
     check("refusal explains itself", "refusing" in proc.stderr, proc.stderr)
 
-    forced = run_diff(str(BASELINE), str(OTHER_SIMD), "--force", "--json")
+    forced = run_diff(str(BASELINE), str(OTHER_THREADS), "--force", "--json")
     check("--force compares anyway", forced.returncode == 0, forced.stderr)
     report = json.loads(forced.stdout)
     check("forced flag recorded",
           report["manifest_mismatches"]["forced"] is True)
     check("mismatch recorded", any(
-        m[0] == "simd_variant"
+        m[0] == "threads"
         for m in report["manifest_mismatches"]["load_bearing"]))
 
 

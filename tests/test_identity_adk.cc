@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "dist/generators.h"
 #include "lowerbound/paninski_family.h"
@@ -51,6 +53,21 @@ TEST(AdkIdentityTest, DomainMismatchIsStructuralError) {
   AdkIdentityTester tester(Distribution::UniformOver(16), 0.25, AdkOptions{},
                            5);
   EXPECT_FALSE(tester.Test(oracle).ok());
+}
+
+TEST(AdkIdentityTest, HostileEpsIsInvalidArgument) {
+  for (const double eps : {std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0, 1.5,
+                           std::numeric_limits<double>::infinity()}) {
+    DistributionOracle oracle(Distribution::UniformOver(16), 3);
+    AdkIdentityTester tester(Distribution::UniformOver(16), eps, AdkOptions{},
+                             5);
+    const auto outcome = tester.Test(oracle);
+    ASSERT_FALSE(outcome.ok()) << "eps=" << eps;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument)
+        << "eps=" << eps;
+    EXPECT_EQ(oracle.SamplesDrawn(), 0) << "eps=" << eps;
+  }
 }
 
 TEST(AdkRestrictedTest, IgnoresInactiveIntervals) {

@@ -71,6 +71,37 @@ TEST(AliasSamplerTest, SampleMany) {
   for (size_t s : samples) EXPECT_LT(s, 4u);
 }
 
+TEST(AliasSamplerTest, SampleBatchStreamMatchesRepeatedSample) {
+  // Two tables: random weights, whose prob values spread over (0, 1], and a
+  // k-histogram, whose few distinct mid-range prob values are the tester's
+  // common case. The lengths cross SampleBatch's 1024-sample chunk boundary.
+  Rng weights_rng(4106);
+  std::vector<double> weights(777);
+  for (double& w : weights) w = weights_rng.UniformDouble();
+  const AliasSampler random_table(weights);
+  const AliasSampler staircase(
+      MakeStaircase(777, 7).value().ToDistribution().value());
+  const int64_t kCounts[] = {0, 1, 3, 4, 5, 7, 8, 9, 31, 1023, 1024, 1025,
+                             2049};
+  for (const AliasSampler* sampler : {&random_table, &staircase}) {
+    for (const int64_t count : kCounts) {
+      const size_t len = static_cast<size_t>(count);
+      Rng rng_batch(static_cast<uint64_t>(9000 + count));
+      Rng rng_single(static_cast<uint64_t>(9000 + count));
+      // One guard slot past the end, which SampleBatch must not write.
+      std::vector<size_t> batch(len + 1, ~size_t{0});
+      sampler->SampleBatch(rng_batch, batch.data(), count);
+      for (size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(batch[i], sampler->Sample(rng_single))
+            << "count=" << count << " i=" << i;
+      }
+      EXPECT_EQ(batch[len], ~size_t{0}) << "count=" << count;
+      // Both streams end at the same Rng state.
+      EXPECT_EQ(rng_batch.Next(), rng_single.Next()) << "count=" << count;
+    }
+  }
+}
+
 TEST(PiecewiseSamplerTest, MatchesPiecewiseDistribution) {
   Rng gen(13);
   const auto pwc = MakeRandomKHistogram(64, 4, gen).value();

@@ -52,9 +52,10 @@ class RoundTripTest(unittest.TestCase):
         manifest_rec = json.loads(lines[1])
         self.assertEqual(manifest_rec["type"], "manifest")
         manifest = manifest_rec["manifest"]
-        self.assertEqual(manifest["manifest_version"], 1)
+        self.assertEqual(manifest["manifest_version"], 2)
         self.assertIn("git_describe", manifest)
-        self.assertIn("simd_variant", manifest)
+        self.assertIn("cpu_features", manifest)
+        self.assertNotIn("simd_variant", manifest)
         # The emitter masks the timestamp for byte-identical reruns.
         self.assertEqual(manifest["timestamp_unix_ms"], 0)
         kinds = [json.loads(l)["type"] for l in lines[2:]]
@@ -76,7 +77,7 @@ class RoundTripTest(unittest.TestCase):
         self.assertEqual(summary["schema_version"], 2)
         self.assertEqual(summary["tests"], 1)
         self.assertIsInstance(summary["manifest"], dict)
-        self.assertEqual(summary["manifest"]["manifest_version"], 1)
+        self.assertEqual(summary["manifest"]["manifest_version"], 2)
         self.assertGreater(summary["spans"], 1)
         # Span annotations and metrics counters are two independent
         # accounting paths; they must agree stage by stage.

@@ -26,8 +26,7 @@ class RawAccumulateChecker(Checker):
     scopes = ("src/stats/", "src/core/", "src/histogram/", "src/common/",
               "src/dist/")
     # The approved implementations themselves: the blocked kernels and the
-    # compensated-summation primitives. Files under src/common/simd/ (the
-    # alias resolve) accumulate nothing and stay in scope.
+    # compensated-summation primitives.
     exempt = ("src/common/kernels.h", "src/common/kernels.cc",
               "src/common/math_util.h", "src/common/math_util.cc")
 

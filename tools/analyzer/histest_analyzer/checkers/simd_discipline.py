@@ -1,12 +1,11 @@
-"""simd-discipline: raw vendor intrinsics live only in the AVX2 alias resolve.
+"""simd-discipline: no raw vendor intrinsics anywhere in the library.
 
-The one ISA-specific translation unit, src/common/simd/resolve_avx2.cc, is
-compiled with ``-mavx2`` alone, handed out only behind a runtime CPUID
-check, and tested bit-for-bit against the portable resolve. An
-``_mm256_add_pd`` anywhere else bypasses all three guarantees — the file
-would need a global ``-mavx2`` (miscompiling the portable baseline into
-illegal-instruction territory on older CPUs), and no test would compare
-it against a portable twin.
+The library has no ISA-specific translation unit: every file builds for the
+portable baseline, with no per-file ISA flags and no runtime CPU dispatch.
+An ``_mm256_add_pd`` would need a global ``-mavx2`` (miscompiling the
+portable baseline into illegal-instruction territory on older CPUs) or a
+CPUID-dispatched twin, and no test would compare it against a portable
+version.
 
 Flagged constructs:
 
@@ -40,14 +39,9 @@ _X86_TYPE_RE = re.compile(r"^__m(?:128|256|512)[di]?$")
 @register
 class SimdDisciplineChecker(Checker):
     name = "simd-discipline"
-    description = ("raw SIMD intrinsics are banned outside "
-                   "src/common/simd/resolve_avx2.cc")
+    description = "raw SIMD intrinsics are banned in the library"
     scopes = None
-    # The sanctioned intrinsic home, as a closed list rather than a
-    # directory glob: the dispatch shell (simd.h / simd.cc) and any future
-    # file dropped under src/common/simd/ stay in scope — new intrinsic code
-    # must be registered here deliberately.
-    exempt = ("src/common/simd/resolve_avx2.cc",)
+    exempt = ()
 
     def check(self, ctx):
         out = []
@@ -56,10 +50,9 @@ class SimdDisciplineChecker(Checker):
             if m and m.group(1) in _SIMD_HEADERS:
                 out.append(Finding(
                     self.name, ctx.rel_path, pp.line, 1,
-                    f"vendor intrinsic header <{m.group(1)}> is banned "
-                    f"outside src/common/simd/resolve_avx2.cc: ISA-specific "
-                    f"code needs per-file ISA flags, a runtime CPU probe, "
-                    f"and a bit-exact test against a portable twin",
+                    f"vendor intrinsic header <{m.group(1)}> is banned: "
+                    f"the library has no ISA-specific translation unit, "
+                    f"so every file builds for the portable baseline",
                     ctx.line_text(pp.line)))
         for t in ctx.model.tokens:
             if t.kind == "id" and (_X86_INTRIN_RE.match(t.text) or
@@ -70,8 +63,8 @@ class SimdDisciplineChecker(Checker):
     def _finding(self, ctx, t):
         return Finding(
             self.name, ctx.rel_path, t.line, t.col,
-            f"raw SIMD intrinsic '{t.text}' outside "
-            f"src/common/simd/resolve_avx2.cc: write the portable loop "
-            f"(the reductions in common/kernels.cc show how) or justify a "
-            f"CPUID-dispatched twin like the alias resolve",
+            f"raw SIMD intrinsic '{t.text}' is banned: the library has no "
+            f"ISA-specific translation unit; write the portable loop (the "
+            f"reductions in common/kernels.cc and the alias resolve in "
+            f"dist/sampler.cc show how)",
             ctx.line_text(t.line))

@@ -6,15 +6,14 @@ key (bench/bench_micro.cc stamps it). The differ
 
   * refuses to compare runs whose manifests differ in a *load-bearing*
     field — one where a delta is expected and means nothing about the
-    code (alias-resolve variant, thread count) — unless forced;
+    code (thread count) — unless forced;
   * attributes the wall-clock delta between two trace summaries to
     pipeline stages: per-stage seconds delta and each stage's share of
     the total absolute delta, so "the run got 18% slower" becomes
     "the sieve stage contributes 0.83 of that";
-  * diffs the kernel-call tallies (the `histest.kernel.*` counters and the
-    `histest.simd.alias_resolve` dispatch counter), so a perf delta caused
-    by a pipeline change (fused path lost) is visible next to the timing
-    it explains;
+  * diffs the kernel-call tallies (the `histest.kernel.*` counters), so a
+    perf delta caused by a pipeline change (fused path lost) is visible
+    next to the timing it explains;
   * for bench JSONs, reports per-row time ratios sorted by regression.
 
 Library for tools/histest-obs (the CLI) and tools/bench_compare.py
@@ -31,9 +30,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import manifest_fields  # noqa: E402  (sibling module, needs the path tweak)
 
 # Manifest fields where a mismatch invalidates the comparison: timings
-# taken under different alias-resolve variants or thread counts differ for
-# reasons that say nothing about the code under test.
-LOAD_BEARING = ("simd_variant", "threads")
+# taken at different thread counts differ for reasons that say nothing
+# about the code under test.
+LOAD_BEARING = ("threads",)
 
 # Fields where a mismatch is expected run to run and never gates.
 _IGNORED_FIELDS = ("timestamp_unix_ms",)
@@ -152,10 +151,9 @@ def diff_runs(a: dict, b: dict) -> dict:
     report["stages"] = deltas
     report["total_delta_seconds"] = sum(d["delta_seconds"] for d in deltas)
 
-    tally_prefixes = ("histest.simd.", "histest.kernel.")
     tallies = sorted(
         n for n in set(a["counters"]) | set(b["counters"])
-        if n.startswith(tally_prefixes))
+        if n.startswith("histest.kernel."))
     for name in tallies:
         ca = int(a["counters"].get(name, 0))
         cb = int(b["counters"].get(name, 0))

@@ -79,8 +79,8 @@ def check_manifest(path: str, summary) -> bool:
         fail(f"{path}: manifest is missing field(s): {', '.join(missing)}")
         return False
     print(f"trace-gate: {path}: manifest v{version} complete "
-          f"({len(reg['keys'])} fields, git {manifest.get('git_describe')}, "
-          f"simd {manifest.get('simd_variant')}) ok", file=sys.stderr)
+          f"({len(reg['keys'])} fields, git {manifest.get('git_describe')}) "
+          f"ok", file=sys.stderr)
     return True
 
 
