@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.h"
 #include "common/math_util.h"
+#include "common/thread_pool.h"
 
 namespace histest {
 namespace {
@@ -66,6 +68,32 @@ int64_t SplitColumn(Rng& rng, int64_t c, double prob) {
   int64_t stay = 0;
   for (int64_t i = 0; i < c; ++i) stay += (rng.Next() >> 11) < below ? 1 : 0;
   return stay;
+}
+
+/// One pass over columns [begin, end): each column takes a Poisson number
+/// of draws and keeps its stay count in counts[j]. The leave count goes to
+/// counts[alias[j]], or, with `parked`, into parked[j] for a later serial
+/// scatter (a block's alias targets may lie in other blocks). Returns the
+/// pass's draw total.
+int64_t DrawColumns(Rng& rng, const ColumnPoisson& column, const double* prob,
+                    const size_t* alias, size_t begin, size_t end,
+                    int64_t* counts, uint32_t* parked) {
+  if (parked != nullptr) std::fill(parked + begin, parked + end, 0u);
+  int64_t drawn = 0;
+  for (size_t j = begin; j < end; ++j) {
+    const int64_t draws = column.Draw(rng);
+    if (draws == 0) continue;
+    drawn += draws;
+    const int64_t stay = SplitColumn(rng, draws, prob[j]);
+    counts[j] += stay;
+    if (parked == nullptr) {
+      counts[alias[j]] += draws - stay;
+    } else {
+      HISTEST_CHECK_LE(draws, int64_t{UINT32_MAX});
+      parked[j] = static_cast<uint32_t>(draws - stay);
+    }
+  }
+  return drawn;
 }
 
 /// SampleBatch's table pass: out[i] = us[i] < prob[cols[i]] ? cols[i] :
@@ -175,21 +203,40 @@ void AliasSampler::AddCounts(Rng& rng, int64_t count,
   int64_t drawn = 0;
   if (mean > 0.0) {
     const ColumnPoisson column(mean);
+    const size_t blocks = (n + kColumnBlock - 1) / kColumnBlock;
+    // Multi-block scratch: one forked stream and one total per block, and
+    // the leave counts parked until every block is done.
+    std::vector<Rng> block_rngs;
+    std::vector<int64_t> block_drawn(blocks);
+    std::vector<uint32_t> parked(blocks > 1 ? n : 0);
     // The pass total is Poisson(count - 3 sqrt(count)), so it exceeds
     // count with probability ~0.13%; such a pass is cleared and drawn
     // again.
     while (true) {
-      drawn = 0;
-      for (size_t j = 0; j < n; ++j) {
-        const int64_t draws = column.Draw(rng);
-        if (draws == 0) continue;
-        drawn += draws;
-        const int64_t stay = SplitColumn(rng, draws, prob_[j]);
-        counts[j] += stay;
-        counts[alias_[j]] += draws - stay;
+      if (blocks == 1) {
+        drawn = DrawColumns(rng, column, prob_.data(), alias_.data(), 0, n,
+                            counts, nullptr);
+      } else {
+        // Forked in block order before the region: the result depends on
+        // the seed only, never on which executor runs which block.
+        block_rngs.clear();
+        for (size_t b = 0; b < blocks; ++b) block_rngs.push_back(rng.Fork());
+        const int executors = ThreadPool::Shared().size() + 1;
+        ParallelFor(static_cast<int64_t>(blocks), executors, [&](int64_t b) {
+          const size_t begin = static_cast<size_t>(b) * kColumnBlock;
+          block_drawn[b] = DrawColumns(block_rngs[b], column, prob_.data(),
+                                       alias_.data(), begin,
+                                       std::min(n, begin + kColumnBlock),
+                                       counts, parked.data());
+        });
+        drawn = 0;
+        for (const int64_t d : block_drawn) drawn += d;
       }
       if (drawn <= count) break;
       std::fill(counts, counts + n, int64_t{0});
+    }
+    if (blocks > 1) {
+      for (size_t j = 0; j < n; ++j) counts[alias_[j]] += parked[j];
     }
   }
   constexpr int64_t kChunk = 1024;

@@ -14,6 +14,9 @@ namespace histest {
 /// the workhorse behind every sample oracle.
 class AliasSampler {
  public:
+  /// Columns per block of a multi-block AddCounts pass (see AddCounts).
+  static constexpr size_t kColumnBlock = size_t{1} << 14;
+
   /// Builds a sampler for the given distribution.
   explicit AliasSampler(const Distribution& dist);
 
@@ -43,6 +46,13 @@ class AliasSampler {
   /// SampleBatch draws top it up (a pass with s > count is cleared and
   /// redrawn). Not stream-identical to SampleBatch; deterministic for a
   /// given Rng state.
+  ///
+  /// Columns are independent (Poissonization), so a domain wider than
+  /// kColumnBlock is drawn in blocks of kColumnBlock columns on the shared
+  /// ThreadPool: one Rng forked from `rng` per block, in block order, then
+  /// a serial scatter of the blocks' alias counts. The result depends on
+  /// the Rng state only, never on the executor count; the top-up draws
+  /// from `rng` itself. A domain of one block is drawn serially on `rng`.
   void AddCounts(Rng& rng, int64_t count, int64_t* counts) const;
 
   /// Read-only view of the alias table's keep probabilities.

@@ -3,7 +3,7 @@
 #include <chrono>
 #include <string>
 
-#include "benchutil/parallel.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/version_info.h"
 

@@ -1,6 +1,5 @@
 #include "testing/baseline_cdgr.h"
 
-#include "common/check.h"
 #include "stats/bounds.h"
 
 namespace histest {
@@ -10,18 +9,14 @@ CdgrHistogramTester::CdgrHistogramTester(size_t k, double eps,
                                          LearnVerifyOptions options,
                                          uint64_t seed)
     : k_(k), eps_(eps), budget_scale_(budget_scale), options_(options),
-      rng_(seed) {
-  HISTEST_CHECK_GE(k_, 1u);
-  HISTEST_CHECK_GT(eps_, 0.0);
-  HISTEST_CHECK_LE(eps_, 1.0);
-  HISTEST_CHECK_GT(budget_scale_, 0.0);
-}
+      rng_(seed) {}
 
 int64_t CdgrHistogramTester::BudgetFor(size_t n) const {
   return CdgrSampleComplexity(n, k_, eps_, budget_scale_);
 }
 
 Result<TestOutcome> CdgrHistogramTester::Test(SampleOracle& oracle) {
+  HISTEST_RETURN_IF_ERROR(ValidateBaselineParameters(k_, eps_, budget_scale_));
   return LearnThenVerifyHistogramTest(oracle, k_, eps_,
                                       BudgetFor(oracle.DomainSize()),
                                       options_, rng_);

@@ -15,13 +15,15 @@ namespace histest {
 /// Diakonikolas, Gouleakis, and Rubinfeld's shape-restriction framework.
 class CdgrHistogramTester : public DistributionTester {
  public:
+  /// Test() checks the parameters (see ValidateBaselineParameters).
   CdgrHistogramTester(size_t k, double eps, double budget_scale,
                       LearnVerifyOptions options, uint64_t seed);
 
   std::string Name() const override { return "cdgr16-baseline"; }
   Result<TestOutcome> Test(SampleOracle& oracle) override;
 
-  /// The budget this tester would spend on a domain of size n.
+  /// The budget this tester would spend on a domain of size n. Requires
+  /// parameters that Test() accepts (hostile ones trip a CHECK here).
   int64_t BudgetFor(size_t n) const;
 
  private:

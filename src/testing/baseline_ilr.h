@@ -18,14 +18,16 @@ class IlrHistogramTester : public DistributionTester {
  public:
   /// `budget_scale` multiplies the theorem's budget formula (the paper's
   /// constants are asymptotic; the scale is what the minimal-sample search
-  /// in the benchmark harness varies).
+  /// in the benchmark harness varies). Test() checks the parameters (see
+  /// ValidateBaselineParameters).
   IlrHistogramTester(size_t k, double eps, double budget_scale,
                      LearnVerifyOptions options, uint64_t seed);
 
   std::string Name() const override { return "ilr12-baseline"; }
   Result<TestOutcome> Test(SampleOracle& oracle) override;
 
-  /// The budget this tester would spend on a domain of size n.
+  /// The budget this tester would spend on a domain of size n. Requires
+  /// parameters that Test() accepts (hostile ones trip a CHECK here).
   int64_t BudgetFor(size_t n) const;
 
  private:

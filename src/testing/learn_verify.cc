@@ -41,6 +41,18 @@ Partition RefinePieces(const PiecewiseConstant& dhat, double target_mass) {
 
 }  // namespace
 
+Status ValidateBaselineParameters(size_t k, double eps,
+                                  double budget_scale) {
+  if (k == 0) return Status::InvalidArgument("k must be >= 1");
+  if (!(eps > 0.0) || eps > 1.0) {
+    return Status::InvalidArgument("eps must be in (0, 1]");
+  }
+  if (!(budget_scale > 0.0) || !std::isfinite(budget_scale)) {
+    return Status::InvalidArgument("budget_scale must be positive and finite");
+  }
+  return Status::Ok();
+}
+
 Result<TestOutcome> LearnThenVerifyHistogramTest(SampleOracle& oracle,
                                                  size_t k, double eps,
                                                  int64_t budget,

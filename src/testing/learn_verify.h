@@ -51,6 +51,11 @@ Result<TestOutcome> LearnThenVerifyHistogramTest(SampleOracle& oracle,
                                                  const LearnVerifyOptions& options,
                                                  Rng& rng);
 
+/// The parameter check the two baseline testers make in Test(), before
+/// any budget is computed or sample drawn: InvalidArgument unless k >= 1,
+/// eps is in (0, 1] and budget_scale is positive and finite.
+Status ValidateBaselineParameters(size_t k, double eps, double budget_scale);
+
 }  // namespace histest
 
 #endif  // HISTEST_TESTING_LEARN_VERIFY_H_

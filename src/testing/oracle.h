@@ -24,8 +24,11 @@ namespace histest {
 /// repeated Draw() calls. A dense-shaped DrawCounts (count >= n/8, see
 /// CountVector::ShapedFor) on the alias backend is drawn at the count level
 /// by AliasSampler::AddCounts: O(n) work, an exact multinomial over the
-/// same table, but a different use of the Rng stream. The piecewise
-/// backend always uses the stream.
+/// same table, but a different use of the Rng stream. Above
+/// AliasSampler::kColumnBlock columns that call runs column blocks on the
+/// shared ThreadPool from Rngs forked off this oracle's stream; the counts
+/// still depend on the seed alone. The piecewise backend always uses the
+/// stream.
 class DistributionOracle : public SampleOracle {
  public:
   DistributionOracle(const Distribution& dist, uint64_t seed);

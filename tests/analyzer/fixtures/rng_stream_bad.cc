@@ -1,7 +1,7 @@
-// Fixture: every rng-stream violation family (five findings).
+// Fixture: every rng-stream violation family (six findings).
 #include <random>  // finding: <random> include
 
-#include "common/parallel.h"
+#include "common/thread_pool.h"
 #include "common/rng.h"
 
 namespace histest {
@@ -19,6 +19,14 @@ void BadSharedDraw(Rng& rng, ThreadPool& pool) {
   ParallelFor(pool, 0, 8, [&](size_t i) {
     double x = rng.UniformDouble();  // finding: shared draw in parallel lambda
     (void)x;
+    (void)i;
+  });
+}
+
+void BadSharedDrawInRun(Rng& rng, ThreadPool& pool) {
+  pool.Run(8, 2, [&](int64_t i) {
+    const uint64_t s = rng.Next();  // finding: shared draw in pool.Run lambda
+    (void)s;
     (void)i;
   });
 }

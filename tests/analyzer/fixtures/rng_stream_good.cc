@@ -1,7 +1,7 @@
 // Fixture: schedule-independent randomness — zero findings.
 #include <vector>
 
-#include "common/parallel.h"
+#include "common/thread_pool.h"
 #include "common/rng.h"
 
 namespace histest {

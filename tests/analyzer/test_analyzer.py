@@ -129,7 +129,7 @@ class CheckerFixtureTest(unittest.TestCase):
 
     def test_rng_stream_bad(self):
         res = scan(["rng_stream_bad.cc"], checkers=["rng-stream"])
-        self.assert_findings(res, "rng-stream", [2, 10, 15, 20, 28])
+        self.assert_findings(res, "rng-stream", [2, 10, 15, 20, 28, 36])
 
     def test_rng_stream_good(self):
         res = scan(["rng_stream_good.cc"])

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "dist/generators.h"
@@ -63,6 +65,44 @@ TEST(IlrBaselineTest, RejectsFarInstancesWithSmallScale) {
   const auto far = MakeFarFromHk(base, 3, 0.25, rng).value();
   EXPECT_FALSE(
       MajorityAccepts<IlrHistogramTester>(far.dist, 3, 0.25, 0.2, 5));
+}
+
+/// Hostile parameters make Test() return InvalidArgument before it draws
+/// a sample, instead of aborting in the constructor.
+template <typename Tester>
+void ExpectHostileParametersRejected() {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Params {
+    size_t k;
+    double eps;
+    double budget_scale;
+  };
+  std::vector<Params> hostile = {{0, 0.25, 1.0}, {2, 0.25, 0.0},
+                                 {2, 0.25, -1.0}, {2, 0.25, kNaN},
+                                 {2, 0.25, kInf}};
+  for (const double eps : {kNaN, 0.0, -1.0, 1.5, kInf}) {
+    hostile.push_back({2, eps, 1.0});
+  }
+  for (const Params& p : hostile) {
+    DistributionOracle oracle(Distribution::UniformOver(64), 3);
+    Tester tester(p.k, p.eps, p.budget_scale, LearnVerifyOptions{}, 5);
+    const auto outcome = tester.Test(oracle);
+    ASSERT_FALSE(outcome.ok()) << "k=" << p.k << " eps=" << p.eps
+                               << " budget_scale=" << p.budget_scale;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument)
+        << "k=" << p.k << " eps=" << p.eps
+        << " budget_scale=" << p.budget_scale;
+    EXPECT_EQ(oracle.SamplesDrawn(), 0);
+  }
+}
+
+TEST(CdgrBaselineTest, HostileParametersAreInvalidArgument) {
+  ExpectHostileParametersRejected<CdgrHistogramTester>();
+}
+
+TEST(IlrBaselineTest, HostileParametersAreInvalidArgument) {
+  ExpectHostileParametersRejected<IlrHistogramTester>();
 }
 
 TEST(BaselinesTest, BudgetFormulasOrderCorrectly) {

@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <cstdlib>
 
-#include "benchutil/parallel.h"
+#include "common/thread_pool.h"
 
 namespace histest {
 namespace {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <thread>
 #include <utility>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "dist/empirical.h"
 #include "dist/generators.h"
 
@@ -145,14 +148,25 @@ TEST(PoissonizedCountsTest, MeansMatch) {
   }
 }
 
+/// A heavy-head domain just over two column blocks: the last block is
+/// ragged, and light columns in every block alias the heavy head.
+constexpr size_t kMultiBlockN = 2 * AliasSampler::kColumnBlock + 3;
+
 TEST(MultinomialCountsTest, TotalsAreExact) {
-  AliasSampler sampler(Distribution::UniformOver(8));
-  Rng rng(21);
-  std::vector<int64_t> counts(8, 0);
-  sampler.AddCounts(rng, 1234, counts.data());
-  int64_t total = 0;
-  for (int64_t c : counts) total += c;
-  EXPECT_EQ(total, 1234);
+  // One block, then several, where the blocks' parked alias counts must
+  // all land.
+  for (const Distribution& dist : {Distribution::UniformOver(8),
+                                   MakeZipf(kMultiBlockN, 1.0).value()}) {
+    AliasSampler sampler(dist);
+    Rng rng(21);
+    for (const int64_t count : {int64_t{1234}, int64_t{5000000}}) {
+      std::vector<int64_t> counts(dist.size(), 0);
+      sampler.AddCounts(rng, count, counts.data());
+      int64_t total = 0;
+      for (int64_t c : counts) total += c;
+      EXPECT_EQ(total, count) << "n " << dist.size();
+    }
+  }
 }
 
 /// 0.999 quantile of chi-square with `dof` degrees of freedom
@@ -186,12 +200,13 @@ CountMoments MeasureAddCounts(const Distribution& dist, int64_t count,
   for (int r = 0; r < reps; ++r) {
     std::fill(counts.begin(), counts.end(), 0);
     sampler.AddCounts(rng, count, counts.data());
-    int64_t total = 0;
+    int64_t total = 0, negative = 0;
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_GE(counts[i], 0);
+      negative += counts[i] < 0 ? 1 : 0;
       total += counts[i];
       sum[i] += counts[i];
     }
+    EXPECT_EQ(negative, 0) << "rep " << r;
     EXPECT_EQ(total, count) << "rep " << r;
     for (size_t i = 0; i < tracked; ++i) {
       for (size_t j = 0; j < tracked; ++j) {
@@ -229,8 +244,8 @@ CountMoments MeasureAddCounts(const Distribution& dist, int64_t count,
 /// six standard errors. A Poissonized vector (variance count p,
 /// covariance 0) fails these for the heavy elements the cases put first.
 void ExpectMultinomialMoments(const Distribution& dist, int64_t count,
-                              size_t tracked, uint64_t seed) {
-  const int reps = 20000;
+                              size_t tracked, uint64_t seed,
+                              int reps = 20000) {
   const CountMoments m = MeasureAddCounts(dist, count, reps, tracked, seed);
   EXPECT_LT(m.pearson, ChiSquareQuantile999(m.dof))
       << "dof " << m.dof << " count " << count;
@@ -271,6 +286,13 @@ TEST(AddCountsTest, MultinomialJustAboveSparseCutover) {
 TEST(AddCountsTest, MultinomialBernoulliSplit) {
   // count / n = 20: columns mostly split by summed coin flips.
   ExpectMultinomialMoments(HeavyHeadPmf(256), 20 * 256, 4, 102);
+  // count / n = 4 over three column blocks, the last one ragged: the
+  // tracked heavy head collects most of its count through the blocks'
+  // parked alias counts. Fewer reps keep the case short; a Poissonized
+  // vector's heavy-element variance is still over 10 standard errors off.
+  ExpectMultinomialMoments(HeavyHeadPmf(kMultiBlockN),
+                           4 * static_cast<int64_t>(kMultiBlockN), 4, 112,
+                           2000);
 }
 
 TEST(AddCountsTest, MultinomialBinomialSplitFromTable) {
@@ -291,13 +313,21 @@ TEST(AddCountsTest, MultinomialUniformPmf) {
 }
 
 TEST(AddCountsTest, PointMassGetsEveryCount) {
-  AliasSampler sampler(Distribution::PointMass(500, 123));
-  Rng rng(106);
-  for (const int64_t count : {int64_t{63}, int64_t{5000}, int64_t{2000000}}) {
-    std::vector<int64_t> counts(500, 0);
-    sampler.AddCounts(rng, count, counts.data());
-    for (size_t i = 0; i < counts.size(); ++i) {
-      EXPECT_EQ(counts[i], i == 123 ? count : 0) << i;
+  // Every other column aliases the mass. Above one block the mass sits in
+  // the ragged last block, so the other blocks reach it only through the
+  // scatter of their parked counts.
+  for (const auto& [n, at] : {std::pair<size_t, size_t>{500, 123},
+                              std::pair<size_t, size_t>{kMultiBlockN,
+                                                        kMultiBlockN - 2}}) {
+    AliasSampler sampler(Distribution::PointMass(n, at));
+    Rng rng(106);
+    for (const int64_t count :
+         {int64_t{63}, int64_t{5000}, int64_t{2000000}}) {
+      std::vector<int64_t> counts(n, 0);
+      sampler.AddCounts(rng, count, counts.data());
+      for (size_t i = 0; i < counts.size(); ++i) {
+        ASSERT_EQ(counts[i], i == at ? count : 0) << "n " << n << " i " << i;
+      }
     }
   }
 }
@@ -313,6 +343,42 @@ TEST(AddCountsTest, SameSeedSameVector) {
     EXPECT_EQ(ca, cb) << count;
     EXPECT_EQ(a.Next(), b.Next());  // and both streams end in one place
   }
+}
+
+TEST(AddCountsTest, BlocksRunInlineGiveTheSameVector) {
+  // A multi-block draw must not depend on which executors run its blocks.
+  // The top-level draws spread their eight blocks over the pool; the inner
+  // draw runs inside a ParallelFor job while every other job holds a pool
+  // worker, so all of its blocks run inline on one thread.
+  const auto dist = HeavyHeadPmf(8 * AliasSampler::kColumnBlock + 3);
+  AliasSampler sampler(dist);
+  const int64_t count = 20 * static_cast<int64_t>(dist.size());
+  std::vector<std::vector<int64_t>> tops;
+  uint64_t top_next = 0;
+  for (int round = 0; round < 3; ++round) {
+    Rng top_rng(113);
+    tops.emplace_back(dist.size(), 0);
+    sampler.AddCounts(top_rng, count, tops.back().data());
+    top_next = top_rng.Next();
+  }
+  std::vector<int64_t> inner(dist.size(), 0);
+  const int executors = ThreadPool::Shared().size() + 1;
+  std::atomic<int> started{0};
+  std::atomic<bool> drawn{false};
+  uint64_t inner_next = 0;
+  ParallelFor(executors, executors, [&](int64_t) {
+    if (started.fetch_add(1) == 0) {
+      while (started.load() < executors) std::this_thread::yield();
+      Rng inner_rng(113);
+      sampler.AddCounts(inner_rng, count, inner.data());
+      inner_next = inner_rng.Next();
+      drawn.store(true);
+    } else {
+      while (!drawn.load()) std::this_thread::yield();
+    }
+  });
+  for (const auto& top : tops) EXPECT_EQ(top, inner);
+  EXPECT_EQ(top_next, inner_next);  // both streams end in one place
 }
 
 /// Two-sample chi-square of the values two samplers give one element:

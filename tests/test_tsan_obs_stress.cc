@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "benchutil/parallel.h"
+#include "common/thread_pool.h"
 #include "obs/obs.h"
 
 namespace histest {

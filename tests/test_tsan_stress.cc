@@ -8,7 +8,8 @@
 //      lowest-index failing trial's Status is what comes back, exactly
 //      once, regardless of how many trials fail or in what order.
 // plus the shared-table contract of DistributionOracle: oracles on several
-// threads read one immutable AliasSampler, dense DrawCounts included.
+// threads read one immutable AliasSampler, dense DrawCounts included (whose
+// multi-block draws nest their own pool runs).
 
 #include "benchutil/parallel.h"
 
@@ -190,31 +191,36 @@ TEST(TsanStressTest, EstimateAcceptanceParallelConcurrentCallers) {
 TEST(TsanStressTest, DenseDrawCountsShareOneAliasTable) {
   // Dense DrawCounts reads the shared alias table from every oracle at
   // once (the count-level path keeps all of its state per call). Each
-  // thread must get exactly what a lone oracle with its seed gets.
-  const auto shared =
-      std::make_shared<const AliasSampler>(MakeZipf(4096, 1.0).value());
-  const std::vector<int64_t> counts = {512, 6 * 4096, 20 * 4096};
-  const auto draw_all = [&](uint64_t seed) {
-    DistributionOracle oracle(shared, seed);
-    std::vector<CountVector> out;
-    for (int round = 0; round < 10; ++round) {
-      for (const int64_t m : counts) out.push_back(oracle.DrawCounts(m));
+  // thread must get exactly what a lone oracle with its seed gets. At
+  // n = 2^16 each draw runs its column blocks on the shared pool, so the
+  // two callers' nested pool runs share its workers.
+  for (const auto& [n, rounds] : {std::pair<int64_t, int>{4096, 10},
+                                  std::pair<int64_t, int>{1 << 16, 3}}) {
+    const auto shared = std::make_shared<const AliasSampler>(
+        MakeZipf(static_cast<size_t>(n), 1.0).value());
+    const std::vector<int64_t> counts = {n / 8, 6 * n, 20 * n};
+    const auto draw_all = [&](uint64_t seed) {
+      DistributionOracle oracle(shared, seed);
+      std::vector<CountVector> out;
+      for (int round = 0; round < rounds; ++round) {
+        for (const int64_t m : counts) out.push_back(oracle.DrawCounts(m));
+      }
+      return out;
+    };
+    const std::vector<CountVector> alone_a = draw_all(71);
+    const std::vector<CountVector> alone_b = draw_all(72);
+    std::vector<CountVector> got_a, got_b;
+    std::thread ta([&]() { got_a = draw_all(71); });
+    std::thread tb([&]() { got_b = draw_all(72); });
+    ta.join();
+    tb.join();
+    ASSERT_EQ(got_a.size(), alone_a.size());
+    ASSERT_EQ(got_b.size(), alone_b.size());
+    for (size_t i = 0; i < got_a.size(); ++i) {
+      ASSERT_FALSE(got_a[i].is_sparse());
+      EXPECT_EQ(got_a[i].counts(), alone_a[i].counts()) << n << " " << i;
+      EXPECT_EQ(got_b[i].counts(), alone_b[i].counts()) << n << " " << i;
     }
-    return out;
-  };
-  const std::vector<CountVector> alone_a = draw_all(71);
-  const std::vector<CountVector> alone_b = draw_all(72);
-  std::vector<CountVector> got_a, got_b;
-  std::thread ta([&]() { got_a = draw_all(71); });
-  std::thread tb([&]() { got_b = draw_all(72); });
-  ta.join();
-  tb.join();
-  ASSERT_EQ(got_a.size(), alone_a.size());
-  ASSERT_EQ(got_b.size(), alone_b.size());
-  for (size_t i = 0; i < got_a.size(); ++i) {
-    ASSERT_FALSE(got_a[i].is_sparse());
-    EXPECT_EQ(got_a[i].counts(), alone_a[i].counts()) << i;
-    EXPECT_EQ(got_b[i].counts(), alone_b[i].counts()) << i;
   }
 }
 

@@ -11,9 +11,9 @@ moment it closes. Three escape routes are flagged:
      trailing-underscore name, or a known member) or other non-local —
      members outlive every scope;
   3. capturing an arena-derived value (or the arena itself) in a lambda
-     handed to a *deferring* entry point (ThreadPool::Submit / Enqueue /
-     Dispatch) — the task may run after the enclosing Scope rewinds.
-     ParallelFor/RunParallel join before returning and are exempt.
+     handed to a *deferring* entry point (Submit / Enqueue / Dispatch) —
+     the task may run after the enclosing Scope rewinds. ParallelFor,
+     ThreadPool::Run and RunParallel join before returning and are exempt.
 
 Taint is interprocedural: `auto* p = MakeBuf(arena);` marks `p` when
 `MakeBuf`'s summary says its return aliases arena storage (summaries.py),

@@ -8,8 +8,9 @@ Four families of violation:
      libraries (anywhere outside common/rng.*);
   2. wall-clock / process entropy as seed material (library code);
   3. draws from a *shared* Rng inside a lambda handed to the parallel
-     harness (ParallelFor / ThreadPool::Submit): the interleaving of
-     draws then depends on the schedule, so results differ run to run.
+     harness (ParallelFor / ThreadPool::Run, see PARALLEL_ENTRY_POINTS):
+     the interleaving of draws then depends on the schedule, so results
+     differ run to run.
      Fork() on a shared generator inside such a lambda is equally broken —
      the parent stream advances in completion order;
   4. draws guarded by thread-topology state (num_threads, HISTEST_THREADS,

@@ -36,9 +36,10 @@ THREAD_TAINT_IDS = (
 )
 
 # Calls that run their lambda argument on pool threads. A shared Rng drawn
-# inside one of these lambdas interleaves nondeterministically.
+# inside one of these lambdas interleaves nondeterministically. `Run` is
+# ThreadPool::Run, which ParallelFor wraps.
 PARALLEL_ENTRY_POINTS = frozenset({
-    "ParallelFor", "Submit", "Enqueue", "RunParallel", "Dispatch",
+    "ParallelFor", "Run", "Submit", "Enqueue", "RunParallel", "Dispatch",
 })
 
 # Mutating draw methods of histest::Rng (common/rng.h). Fork is included:
