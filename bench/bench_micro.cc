@@ -577,15 +577,6 @@ void BM_ObsTraceSpanDisabled(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsTraceSpanDisabled);
 
-void BM_ObsScopedTimerDisabled(benchmark::State& state) {
-  obs::SetEnabled(false);
-  for (auto _ : state) {
-    obs::ScopedTimer timer("histest.bench.disabled_timer");
-    benchmark::DoNotOptimize(&timer);
-  }
-}
-BENCHMARK(BM_ObsScopedTimerDisabled);
-
 void BM_ObsRecorderEventDisabled(benchmark::State& state) {
   // The flight-recorder gate on the metrics fast path: with the recorder
   // off this is one relaxed load and a branch in front of the (also

@@ -80,9 +80,7 @@ struct GridStats {
 inline GridStats RunGrid(const std::vector<WorkloadInstance>& grid,
                          const SeededTesterFactory& factory, int trials,
                          uint64_t seed) {
-  // Shared timing/span scaffolding for every experiment's grid sweep; all
-  // inert unless tracing is on.
-  obs::ScopedTimer grid_timer(obs::names::kBenchGridSeconds);
+  // Times every experiment's grid sweep; inert unless tracing is on.
   obs::TraceSpan grid_span(obs::names::kSpanRunGrid);
   grid_span.AnnotateInt("instances", static_cast<int64_t>(grid.size()));
   grid_span.AnnotateInt("trials_per_instance", trials);

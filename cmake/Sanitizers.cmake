@@ -2,7 +2,9 @@
 #
 # HISTEST_SANITIZER selects a dynamic-checking build flavour:
 #   ""          - no instrumentation (default)
-#   "asan+ubsan" - AddressSanitizer + UndefinedBehaviorSanitizer
+#   "asan+ubsan" - AddressSanitizer + UndefinedBehaviorSanitizer, plus
+#                  float-cast-overflow (GCC's -fsanitize=undefined leaves
+#                  out the check that a double -> integer cast is in range)
 #   "tsan"       - ThreadSanitizer (mutually exclusive with ASan)
 #
 # The flags are applied globally (compile AND link) so the static histest
@@ -20,7 +22,7 @@ endif()
 
 if(HISTEST_SANITIZER STREQUAL "asan+ubsan")
   set(_histest_san_flags
-      -fsanitize=address,undefined
+      -fsanitize=address,undefined,float-cast-overflow
       -fno-sanitize-recover=all)
 elseif(HISTEST_SANITIZER STREQUAL "tsan")
   set(_histest_san_flags -fsanitize=thread)

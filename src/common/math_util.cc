@@ -54,7 +54,8 @@ int64_t CeilDiv(int64_t a, int64_t b) {
 }
 
 int64_t CeilToCount(double x) {
-  HISTEST_CHECK(std::isfinite(x));
+  // 2^63 is the first double past int64's range; casting it is UB.
+  HISTEST_CHECK(std::isfinite(x) && x < 0x1p63);
   const double c = std::ceil(x);
   return c < 1.0 ? 1 : static_cast<int64_t>(c);
 }

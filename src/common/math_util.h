@@ -63,8 +63,14 @@ double LogChoose(int64_t n, int64_t k);
 int64_t CeilDiv(int64_t a, int64_t b);
 
 /// Rounds a positive double up to the next int64 (at least 1); used to turn
-/// real-valued sample-complexity formulas into sample counts.
+/// real-valued sample-complexity formulas into sample counts. CHECKs that x
+/// is finite and below 2^63, so the cast is always defined.
 int64_t CeilToCount(double x);
+
+/// The largest budget multiplier (`sample_scale`, `budget_scale`) a tester
+/// accepts. No experiment or search needs more than a few units; a finite
+/// but huge scale would push stage budgets past int64.
+inline constexpr double kMaxSampleScale = 1e6;
 
 /// Inclusive prefix sums: out[i] = v[0] + ... + v[i] (compensated).
 std::vector<double> PrefixSums(const std::vector<double>& v);

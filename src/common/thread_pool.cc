@@ -94,7 +94,6 @@ void ThreadPool::Run(int64_t count, int max_workers,
                      const std::function<void(int64_t)>& job) {
   HISTEST_CHECK_GE(count, 0);
   if (count == 0) return;
-  obs::ScopedTimer run_timer(obs::names::kPoolRunSeconds);
   obs::AddCount(obs::names::kPoolRuns, 1);
   obs::AddCount(obs::names::kPoolJobs, count);
   auto task = std::make_shared<Task>();

@@ -81,8 +81,8 @@ Status ValidateSpec(const Algorithm1Spec& spec) {
   }
   if (spec.pieces < 1) return Status::InvalidArgument("k must be >= 1");
   const double scale = spec.stages.sample_scale;
-  if (!(std::isfinite(scale) && scale > 0.0)) {
-    return Status::InvalidArgument("sample_scale must be finite and positive");
+  if (!(scale > 0.0 && scale <= kMaxSampleScale)) {
+    return Status::InvalidArgument("sample_scale must be in (0, 1e6]");
   }
   return Status::Ok();
 }

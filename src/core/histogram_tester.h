@@ -44,7 +44,8 @@ struct HistogramTesterOptions {
   AdkOptions final_test;
 
   /// Multiplies every stage's sample constant; the knob the benchmark
-  /// harness's minimal-budget search varies.
+  /// harness's minimal-budget search varies. Test() rejects a scale
+  /// outside (0, kMaxSampleScale].
   double sample_scale = 1.0;
 
   /// The paper's literal constants.
@@ -123,7 +124,7 @@ struct Algorithm1Spec {
 /// expansion of the hypothesis, sieve, the Step-10 `spec.check`, and the
 /// restricted [ADK15] identity test. Each stage runs under its trace span
 /// and reports its draws. Returns InvalidArgument when eps is outside
-/// (0, 1], pieces is 0, or sample_scale is not finite and positive.
+/// (0, 1], pieces is 0, or sample_scale is outside (0, kMaxSampleScale].
 Result<HistogramTestReport> RunAlgorithm1(SampleOracle& oracle,
                                           const Algorithm1Spec& spec,
                                           Rng& rng);

@@ -2,8 +2,6 @@
 
 #include <chrono>
 
-#include "obs/metrics.h"
-
 namespace histest {
 namespace obs {
 
@@ -24,29 +22,6 @@ int64_t MonotonicClock::NowNanos() const {
 const MonotonicClock* MonotonicClock::Get() {
   static const MonotonicClock clock;
   return &clock;
-}
-
-ScopedTimer::ScopedTimer(const char* histogram_name, const Clock* clock)
-    : clock_(clock), name_(histogram_name) {
-  if (clock_ == nullptr && Enabled()) clock_ = MonotonicClock::Get();
-  if (clock_ != nullptr) start_ns_ = clock_->NowNanos();
-}
-
-double ScopedTimer::ElapsedSeconds() const {
-  if (clock_ == nullptr) return 0.0;
-  return static_cast<double>(clock_->NowNanos() - start_ns_) * 1e-9;
-}
-
-double ScopedTimer::Stop() {
-  if (clock_ == nullptr) return 0.0;
-  const double elapsed = ElapsedSeconds();
-  ObserveHistogram(name_, elapsed);
-  clock_ = nullptr;
-  return elapsed;
-}
-
-ScopedTimer::~ScopedTimer() {
-  if (clock_ != nullptr) (void)Stop();
 }
 
 }  // namespace obs

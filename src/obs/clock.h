@@ -66,36 +66,6 @@ class FakeClock : public Clock {
   int64_t auto_step_ns_;
 };
 
-/// RAII wall-clock timer recording elapsed seconds into the named metrics
-/// histogram on destruction. The one timing implementation the bench layer
-/// shares (no hand-rolled stopwatches). When the obs layer is disabled and
-/// no clock is injected, the constructor performs no clock read and the
-/// destructor records nothing — zero overhead beyond one branch.
-class ScopedTimer {
- public:
-  /// `histogram_name` must outlive the timer (string literals in practice).
-  /// Passing an explicit clock forces timing on regardless of the global
-  /// enable switch (tests inject FakeClock).
-  explicit ScopedTimer(const char* histogram_name,
-                       const Clock* clock = nullptr);
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Seconds since construction (0.0 when inert).
-  double ElapsedSeconds() const;
-
-  /// Records the elapsed time now and disarms the destructor. Returns the
-  /// recorded seconds (0.0 when inert).
-  double Stop();
-
- private:
-  const Clock* clock_;  // nullptr = inert
-  const char* name_;
-  int64_t start_ns_ = 0;
-};
-
 }  // namespace obs
 }  // namespace histest
 

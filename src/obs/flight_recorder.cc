@@ -89,7 +89,6 @@ const char* KindName(uint32_t kind) {
     case FrEventKind::kSpanEnd: return "span_end";
     case FrEventKind::kCount: return "count";
     case FrEventKind::kGauge: return "gauge";
-    case FrEventKind::kHistogram: return "histogram";
     case FrEventKind::kMark: return "mark";
     case FrEventKind::kCheckFail: return "check_fail";
   }
@@ -271,9 +270,12 @@ void RenderDumpContext() {
 
 void CheckFailureHook(const char* file, int line, const char* /*msg*/) {
   // Record where the contract broke; the abort() that follows raises
-  // SIGABRT and the signal handler (if installed) performs the dump.
+  // SIGABRT and the signal handler (if installed) performs the dump. The
+  // file's basename keeps file:line inside kMaxNameBytes however deep the
+  // checkout is.
+  const char* slash = std::strrchr(file, '/');
   LineBuf loc;
-  loc.PutStr(file);
+  loc.PutStr(slash != nullptr ? slash + 1 : file);
   loc.Put(':');
   loc.PutInt(line);
   loc.data[loc.len] = '\0';

@@ -53,9 +53,8 @@ class FlightRecorder {
     kSpanEnd = 1,
     kCount = 2,
     kGauge = 3,
-    kHistogram = 4,
-    kMark = 5,
-    kCheckFail = 6,
+    kMark = 4,
+    kCheckFail = 5,
   };
 
   /// Events kept per thread; older events are overwritten.

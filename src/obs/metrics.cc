@@ -3,7 +3,6 @@
 #include "common/cli.h"
 #include "obs/flight_recorder.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,23 +23,6 @@ size_t ThisThreadShard() {
   thread_local const size_t shard =
       next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
   return shard;
-}
-
-/// Bucket index for a histogram observation.
-size_t BucketFor(double value) {
-  size_t b = 0;
-  double bound = kHistogramMinBound;
-  while (b + 1 < kHistogramBuckets && value > bound) {
-    bound *= 2.0;
-    ++b;
-  }
-  return b;
-}
-
-void AppendJsonDouble(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
 }
 
 }  // namespace
@@ -72,61 +54,6 @@ int64_t Counter::Value() const {
 
 void Counter::Reset() {
   for (Shard& s : shards_) s.value.store(0, std::memory_order_relaxed);
-}
-
-// ------------------------------------------------------- HistogramMetric
-
-double HistogramBucketBound(size_t b) {
-  double bound = kHistogramMinBound;
-  for (size_t i = 0; i < b; ++i) bound *= 2.0;
-  return bound;
-}
-
-void HistogramMetric::Observe(double value) {
-  if (!Enabled()) return;
-  Shard& s = shards_[ThisThreadShard()];
-  s.buckets[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  double cur = s.sum.load(std::memory_order_relaxed);
-  while (!s.sum.compare_exchange_weak(cur, cur + value,
-                                      std::memory_order_relaxed)) {
-  }
-}
-
-int64_t HistogramMetric::Count() const {
-  int64_t total = 0;
-  for (const Shard& s : shards_) {
-    total += s.count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double HistogramMetric::Sum() const {
-  // Fixed shard order, so the merged sum is deterministic for a given set
-  // of per-shard values.
-  double total = 0.0;
-  for (const Shard& s : shards_) {
-    total += s.sum.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::vector<int64_t> HistogramMetric::Buckets() const {
-  std::vector<int64_t> out(kHistogramBuckets, 0);
-  for (const Shard& s : shards_) {
-    for (size_t b = 0; b < kHistogramBuckets; ++b) {
-      out[b] += s.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-  return out;
-}
-
-void HistogramMetric::Reset() {
-  for (Shard& s : shards_) {
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0.0, std::memory_order_relaxed);
-  }
 }
 
 // ------------------------------------------------------- MetricsRegistry
@@ -165,21 +92,6 @@ Gauge& MetricsRegistry::GetGauge(std::string_view name) {
   return *it->second;
 }
 
-HistogramMetric& MetricsRegistry::GetHistogram(std::string_view name) {
-  {
-    ReaderMutexLock lock(mu_);
-    auto it = histograms_.find(name);
-    if (it != histograms_.end()) return *it->second;
-  }
-  WriterMutexLock lock(mu_);
-  auto [it, inserted] = histograms_.try_emplace(std::string(name), nullptr);
-  if (inserted) {
-    it->second = std::unique_ptr<HistogramMetric>(
-        new HistogramMetric(std::string(name)));
-  }
-  return *it->second;
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   ReaderMutexLock lock(mu_);
@@ -189,14 +101,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, g] : gauges_) {
     snap.gauges.emplace_back(name, g->Value());
   }
-  for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot hs;
-    hs.name = name;
-    hs.count = h->Count();
-    hs.sum = h->Sum();
-    hs.buckets = h->Buckets();
-    snap.histograms.push_back(std::move(hs));
-  }
   return snap;
 }
 
@@ -204,7 +108,6 @@ void MetricsRegistry::ResetForTest() {
   WriterMutexLock lock(mu_);
   for (auto& [name, c] : counters_) c->Reset();
   for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, h] : histograms_) h->Reset();
 }
 
 std::string MetricsSnapshot::ToJson() const {
@@ -230,27 +133,6 @@ std::string MetricsSnapshot::ToJson() const {
     out += "\":";
     out += std::to_string(value);
   }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const HistogramSnapshot& h : histograms) {
-    if (!first) out += ",";
-    first = false;
-    out += '"';
-    out += JsonEscape(h.name);
-    out += "\":{\"count\":";
-    out += std::to_string(h.count);
-    out += ",\"sum\":";
-    AppendJsonDouble(out, h.sum);
-    if (h.count > 0) {
-      out += ",\"buckets\":[";
-      for (size_t b = 0; b < h.buckets.size(); ++b) {
-        if (b > 0) out += ",";
-        out += std::to_string(h.buckets[b]);
-      }
-      out += "]";
-    }
-    out += "}";
-  }
   out += "}}";
   return out;
 }
@@ -273,18 +155,6 @@ void SetGauge(std::string_view name, int64_t value) {
   FlightRecorder::Record(FrEventKind::kGauge, name, value);
   if (!Enabled()) return;
   MetricsRegistry::Global().GetGauge(name).Set(value);
-}
-
-void ObserveHistogram(std::string_view name, double value) {
-  // Ring events carry int64 payloads; observations (seconds, in every
-  // current histogram) are recorded as nanos. The conversion sits behind
-  // the gate so the disabled path stays a load + branch.
-  if (FlightRecorder::Enabled()) {
-    FlightRecorder::Record(FrEventKind::kHistogram, name,
-                           std::llround(value * 1e9));
-  }
-  if (!Enabled()) return;
-  MetricsRegistry::Global().GetHistogram(name).Observe(value);
 }
 
 std::string JsonEscape(std::string_view s) {

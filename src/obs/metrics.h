@@ -18,8 +18,7 @@ namespace histest {
 namespace obs {
 
 /// Global observability switch. Off by default; when off every recording
-/// entry point (Counter::Add, AddCount, SetGauge, ObserveHistogram,
-/// TraceSpan) reduces to one relaxed atomic load and a branch, no clock is
+/// entry point (Counter::Add, AddCount, SetGauge, TraceSpan) reduces to one relaxed atomic load and a branch, no clock is
 /// ever read, and experiment output is byte-identical to an uninstrumented
 /// build. Metrics and traces are diagnostics only — nothing in a verdict
 /// path may read them back.
@@ -44,7 +43,6 @@ class Counter {
     if (!Enabled()) return;
     AddUngated(delta);
   }
-  void Increment() { Add(1); }
 
   /// Merged value across shards (snapshot-consistent only when writers are
   /// quiescent, which is all observability needs).
@@ -85,61 +83,12 @@ class Gauge {
   std::string name_;
 };
 
-/// Exponential-bucket histogram of nonnegative doubles (latencies in
-/// seconds, sizes, ...). Bucket b holds observations in
-/// (HistogramBucketBound(b-1), HistogramBucketBound(b)]; bucket 0 starts at
-/// 0. Sharded like Counter; Observe is lock-free (bucket fetch_add plus a
-/// CAS loop on the shard's double sum, uncontended in practice because
-/// shards are per-thread).
-inline constexpr size_t kHistogramBuckets = 40;
-
-/// Upper bound of bucket b: kHistogramMinBound * 2^b (the last bucket is
-/// unbounded).
-double HistogramBucketBound(size_t b);
-inline constexpr double kHistogramMinBound = 1e-9;
-
-class HistogramMetric {
- public:
-  void Observe(double value);
-
-  int64_t Count() const;
-  double Sum() const;
-  /// Merged bucket counts, size kHistogramBuckets.
-  std::vector<int64_t> Buckets() const;
-
-  const std::string& name() const { return name_; }
-
- private:
-  friend class MetricsRegistry;
-  explicit HistogramMetric(std::string name) : name_(std::move(name)) {}
-  void Reset();
-
-  struct alignas(64) Shard {
-    std::array<std::atomic<int64_t>, kHistogramBuckets> buckets{};
-    std::atomic<int64_t> count{0};
-    std::atomic<double> sum{0.0};
-  };
-  std::array<Shard, kMetricShards> shards_;
-  std::string name_;
-};
-
 /// Point-in-time merged view of every registered metric, sorted by name.
-struct HistogramSnapshot {
-  std::string name;
-  int64_t count = 0;
-  double sum = 0.0;
-  std::vector<int64_t> buckets;
-};
-
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, int64_t>> counters;
   std::vector<std::pair<std::string, int64_t>> gauges;
-  std::vector<HistogramSnapshot> histograms;
 
-  /// One stable-keyed JSON object:
-  /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,
-  /// buckets}}}. Zero-count histograms serialize without their (all-zero)
-  /// bucket array.
+  /// One stable-keyed JSON object: {"counters":{...},"gauges":{...}}.
   std::string ToJson() const;
 };
 
@@ -154,7 +103,6 @@ class MetricsRegistry {
 
   Counter& GetCounter(std::string_view name);
   Gauge& GetGauge(std::string_view name);
-  HistogramMetric& GetHistogram(std::string_view name);
 
   MetricsSnapshot Snapshot() const;
 
@@ -174,8 +122,6 @@ class MetricsRegistry {
       HISTEST_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
       HISTEST_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<HistogramMetric>, std::less<>>
-      histograms_ HISTEST_GUARDED_BY(mu_);
 };
 
 /// Name-addressed recording helpers for call sites that must not hold
@@ -184,7 +130,6 @@ class MetricsRegistry {
 /// shared-lock registry lookup, which is fine at stage/batch granularity.
 void AddCount(std::string_view name, int64_t delta);
 void SetGauge(std::string_view name, int64_t value);
-void ObserveHistogram(std::string_view name, double value);
 
 /// Escapes `s` for inclusion in a JSON string literal (shared by the trace
 /// and report sinks).

@@ -1,11 +1,11 @@
 #ifndef HISTEST_OBS_NAMES_H_
 #define HISTEST_OBS_NAMES_H_
 
-/// Single source of truth for every metric, gauge, histogram, and trace-span
-/// name the library emits.
+/// Single source of truth for every counter, gauge, and trace-span name the
+/// library emits.
 ///
-/// Instrumentation call sites (obs::AddCount / SetGauge / ObserveHistogram,
-/// TraceSpan and ScopedTimer constructors) must use the constants defined
+/// Instrumentation call sites (obs::AddCount / SetGauge and the TraceSpan
+/// constructor) must use the constants defined
 /// here — the obs-name-discipline analyzer checker bans free-form string
 /// literals at those sites, so a typo can no longer fork a counter into two
 /// names that tooling silently treats as different metrics.
@@ -17,17 +17,15 @@
 /// sync by CI). Edit names HERE and nowhere else.
 ///
 /// Entry format: X(ident, "name", kind, "description") where kind is one of
-/// counter | gauge | histogram | span.
+/// counter | gauge | span.
 
 // clang-format off
 #define HISTEST_OBS_NAMES(X)                                                   \
-  /* ---- thread pool (src/benchutil/parallel.cc) ---- */                      \
+  /* ---- thread pool (src/common/thread_pool.cc) ---- */                      \
   X(kPoolRuns, "histest.pool.runs", counter,                                   \
     "ThreadPool::Run invocations")                                             \
   X(kPoolJobs, "histest.pool.jobs", counter,                                   \
     "jobs submitted across all ThreadPool::Run calls")                         \
-  X(kPoolRunSeconds, "histest.pool.run_seconds", histogram,                    \
-    "wall seconds per ThreadPool::Run (ScopedTimer)")                          \
   X(kPoolQueueDepth, "histest.pool.queue_depth", gauge,                        \
     "tasks currently queued on the shared pool")                               \
   X(kPoolWorkers, "histest.pool.workers", gauge,                               \
@@ -104,9 +102,6 @@
   X(kKernelFusedCountsChiSquareCalls,                                          \
     "histest.kernel.fused_counts_chi_square.calls", counter,                   \
     "FusedCountsChiSquare calls")                                              \
-  /* ---- bench harness (bench/exp_common.h) ---- */                           \
-  X(kBenchGridSeconds, "histest.bench.grid_seconds", histogram,                \
-    "wall seconds per experiment grid sweep (ScopedTimer)")                    \
   /* ---- flight recorder (src/obs/flight_recorder.cc) ---- */                 \
   X(kRecorderThreads, "histest.recorder.threads", gauge,                       \
     "threads holding a registered flight-recorder ring")                       \

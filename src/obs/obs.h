@@ -4,13 +4,14 @@
 /// Umbrella header for the observability layer.
 ///
 /// The layer has five parts:
-///   * metrics.h — MetricsRegistry: named counters / gauges / histograms
-///     with lock-free per-thread shards, merged on snapshot;
+///   * metrics.h — MetricsRegistry: named counters and gauges with
+///     lock-free per-thread shards, merged on snapshot;
 ///   * trace.h   — TraceSession: hierarchical spans with explicit clock
-///     injection, exported as JSONL for tools/histest-trace;
-///   * clock.h   — the injected Clock interface (Monotonic / Null / Fake)
-///     and ScopedTimer, the codebase's only sanctioned timing primitives
-///     (enforced by the clock-discipline analyzer checker);
+///     injection, exported as JSONL for tools/histest-trace; a span is the
+///     one way a duration is recorded;
+///   * clock.h   — the injected Clock interface (Monotonic / Null / Fake),
+///     the codebase's only sanctioned time source (enforced by the
+///     clock-discipline analyzer checker);
 ///   * manifest.h — RunManifest: the structured run-provenance record
 ///     embedded in traces, bench JSON, and flight-recorder dumps;
 ///   * flight_recorder.h — the always-on per-thread event ring dumped on

@@ -11,15 +11,12 @@ CdgrHistogramTester::CdgrHistogramTester(size_t k, double eps,
     : k_(k), eps_(eps), budget_scale_(budget_scale), options_(options),
       rng_(seed) {}
 
-int64_t CdgrHistogramTester::BudgetFor(size_t n) const {
-  return CdgrSampleComplexity(n, k_, eps_, budget_scale_);
-}
-
 Result<TestOutcome> CdgrHistogramTester::Test(SampleOracle& oracle) {
   HISTEST_RETURN_IF_ERROR(ValidateBaselineParameters(k_, eps_, budget_scale_));
-  return LearnThenVerifyHistogramTest(oracle, k_, eps_,
-                                      BudgetFor(oracle.DomainSize()),
-                                      options_, rng_);
+  const int64_t budget =
+      CdgrSampleComplexity(oracle.DomainSize(), k_, eps_, budget_scale_);
+  return LearnThenVerifyHistogramTest(oracle, k_, eps_, budget, options_,
+                                      rng_);
 }
 
 }  // namespace histest

@@ -26,10 +26,6 @@ class IlrHistogramTester : public DistributionTester {
   std::string Name() const override { return "ilr12-baseline"; }
   Result<TestOutcome> Test(SampleOracle& oracle) override;
 
-  /// The budget this tester would spend on a domain of size n. Requires
-  /// parameters that Test() accepts (hostile ones trip a CHECK here).
-  int64_t BudgetFor(size_t n) const;
-
  private:
   size_t k_;
   double eps_;

@@ -47,8 +47,8 @@ Status ValidateBaselineParameters(size_t k, double eps,
   if (!(eps > 0.0) || eps > 1.0) {
     return Status::InvalidArgument("eps must be in (0, 1]");
   }
-  if (!(budget_scale > 0.0) || !std::isfinite(budget_scale)) {
-    return Status::InvalidArgument("budget_scale must be positive and finite");
+  if (!(budget_scale > 0.0 && budget_scale <= kMaxSampleScale)) {
+    return Status::InvalidArgument("budget_scale must be in (0, 1e6]");
   }
   return Status::Ok();
 }

@@ -53,7 +53,7 @@ Result<TestOutcome> LearnThenVerifyHistogramTest(SampleOracle& oracle,
 
 /// The parameter check the two baseline testers make in Test(), before
 /// any budget is computed or sample drawn: InvalidArgument unless k >= 1,
-/// eps is in (0, 1] and budget_scale is positive and finite.
+/// eps is in (0, 1] and budget_scale is in (0, kMaxSampleScale].
 Status ValidateBaselineParameters(size_t k, double eps, double budget_scale);
 
 }  // namespace histest

@@ -4,9 +4,9 @@
 
 namespace histest {
 
-double GoodScopedTimer() {
-  obs::ScopedTimer timer("histest.fixture.seconds");
-  return timer.ElapsedSeconds();
+double GoodElapsedSeconds(const obs::Clock& clock) {
+  const int64_t start = clock.NowNanos();
+  return static_cast<double>(clock.NowNanos() - start) * 1e-9;
 }
 
 int64_t GoodInjectedClock(const obs::Clock& clock) {

@@ -1,4 +1,3 @@
-#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -7,9 +6,7 @@ namespace histest {
 void Emit(int n) {
   obs::AddCount("histest.fixture.calls", 1);
   obs::SetGauge("histest.fixture.queue_depth", n);
-  obs::ObserveHistogram("histest.fixture.seconds", 0.5);
   obs::TraceSpan span("fixture_span");
-  obs::ScopedTimer timer("histest.fixture.timer_seconds");
   const char* smuggled = "histest.fixture.smuggled";
   obs::AddCount(smuggled, 1);  // flagged at the literal above, not here
 }

@@ -1,4 +1,3 @@
-#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/trace.h"
@@ -8,9 +7,7 @@ namespace histest {
 void Emit(int n) {
   obs::AddCount(obs::names::kTrialsRun, 1);
   obs::SetGauge(obs::names::kPoolWorkers, n);
-  obs::ObserveHistogram(obs::names::kPoolRunSeconds, 0.5);
   obs::TraceSpan span(obs::names::kSpanTrial);
-  obs::ScopedTimer timer(obs::names::kPoolRunSeconds);
 }
 
 }  // namespace histest

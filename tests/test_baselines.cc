@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "dist/generators.h"
 #include "dist/perturb.h"
+#include "stats/bounds.h"
 #include "testing/learn_verify.h"
 #include "testing/oracle.h"
 
@@ -73,6 +74,7 @@ template <typename Tester>
 void ExpectHostileParametersRejected() {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
   struct Params {
     size_t k;
     double eps;
@@ -80,7 +82,8 @@ void ExpectHostileParametersRejected() {
   };
   std::vector<Params> hostile = {{0, 0.25, 1.0}, {2, 0.25, 0.0},
                                  {2, 0.25, -1.0}, {2, 0.25, kNaN},
-                                 {2, 0.25, kInf}};
+                                 {2, 0.25, kInf}, {2, 0.25, 1e300},
+                                 {2, 0.25, kMax}};
   for (const double eps : {kNaN, 0.0, -1.0, 1.5, kInf}) {
     hostile.push_back({2, eps, 1.0});
   }
@@ -106,14 +109,13 @@ TEST(IlrBaselineTest, HostileParametersAreInvalidArgument) {
 }
 
 TEST(BaselinesTest, BudgetFormulasOrderCorrectly) {
-  const LearnVerifyOptions options;
-  IlrHistogramTester ilr(4, 0.2, 1.0, options, 1);
-  CdgrHistogramTester cdgr(4, 0.2, 1.0, options, 1);
-  // ILR budget = CDGR budget / eps^2 at equal scale.
-  EXPECT_GT(ilr.BudgetFor(1024), cdgr.BudgetFor(1024));
-  EXPECT_NEAR(static_cast<double>(ilr.BudgetFor(1024)) /
-                  static_cast<double>(cdgr.BudgetFor(1024)),
-              25.0, 0.5);
+  // The baselines spend these budgets. ILR budget = CDGR budget / eps^2 at
+  // equal scale.
+  const int64_t ilr = IlrSampleComplexity(1024, 4, 0.2, 1.0);
+  const int64_t cdgr = CdgrSampleComplexity(1024, 4, 0.2, 1.0);
+  EXPECT_GT(ilr, cdgr);
+  EXPECT_NEAR(static_cast<double>(ilr) / static_cast<double>(cdgr), 25.0,
+              0.5);
 }
 
 TEST(LearnVerifyEngineTest, ValidatesParameters) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "benchutil/workloads.h"
 #include "common/rng.h"
@@ -54,6 +55,8 @@ TEST(HistogramTesterTest, HostileParametersAreInvalidArgument) {
   expect_invalid(0, 0.25, 1.0);
   expect_invalid(2, 0.25, 0.0);
   expect_invalid(2, 0.25, std::nan(""));
+  expect_invalid(2, 0.25, 1e300);
+  expect_invalid(2, 0.25, std::numeric_limits<double>::max());
   // Invalid parameters are rejected even where k >= n would accept.
   expect_invalid(100, std::nan(""), 1.0);
 }

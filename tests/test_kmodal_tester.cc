@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "dist/generators.h"
@@ -84,6 +85,14 @@ TEST(KModalTesterTest, ValidatesEps) {
     auto outcome = tester.Test(oracle);
     ASSERT_FALSE(outcome.ok()) << eps;
     EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument) << eps;
+  }
+  for (const double scale : {1e300, std::numeric_limits<double>::max()}) {
+    KModalTesterOptions options;
+    options.sample_scale = scale;
+    KModalTester tester(1, 0.25, options, 5);
+    auto outcome = tester.Test(oracle);
+    ASSERT_FALSE(outcome.ok()) << scale;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument) << scale;
   }
   EXPECT_EQ(oracle.SamplesDrawn(), 0);
 }

@@ -28,7 +28,7 @@ class ObsTest : public ::testing::Test {
 TEST_F(ObsTest, CounterAddsAndMerges) {
   obs::Counter& c = obs::MetricsRegistry::Global().GetCounter("t.counter");
   c.Add(3);
-  c.Increment();
+  c.Add(1);
   EXPECT_EQ(c.Value(), 4);
   EXPECT_EQ(&obs::MetricsRegistry::Global().GetCounter("t.counter"), &c);
 }
@@ -56,65 +56,36 @@ TEST_F(ObsTest, DisabledCounterRecordsNothing) {
 TEST_F(ObsTest, NameKeyedHelpers) {
   obs::AddCount("t.helper_counter", 7);
   obs::SetGauge("t.helper_gauge", 42);
-  obs::ObserveHistogram("t.helper_hist", 0.5);
   auto& reg = obs::MetricsRegistry::Global();
   EXPECT_EQ(reg.GetCounter("t.helper_counter").Value(), 7);
   EXPECT_EQ(reg.GetGauge("t.helper_gauge").Value(), 42);
-  EXPECT_EQ(reg.GetHistogram("t.helper_hist").Count(), 1);
-}
-
-TEST_F(ObsTest, HistogramBucketsAndSum) {
-  obs::HistogramMetric& h =
-      obs::MetricsRegistry::Global().GetHistogram("t.hist");
-  h.Observe(0.0);    // bucket 0
-  h.Observe(1e-9);   // still bucket 0 (bounds are inclusive above)
-  h.Observe(1.0);    // some middle bucket
-  h.Observe(1e12);   // clamped to the last bucket
-  EXPECT_EQ(h.Count(), 4);
-  EXPECT_DOUBLE_EQ(h.Sum(), 1.0 + 1e-9 + 1e12);
-  const std::vector<int64_t> buckets = h.Buckets();
-  ASSERT_EQ(buckets.size(), obs::kHistogramBuckets);
-  EXPECT_EQ(buckets[0], 2);
-  EXPECT_EQ(buckets[obs::kHistogramBuckets - 1], 1);
-  int64_t total = 0;
-  for (int64_t b : buckets) total += b;
-  EXPECT_EQ(total, 4);
-}
-
-TEST_F(ObsTest, HistogramBucketBoundsDouble) {
-  EXPECT_DOUBLE_EQ(obs::HistogramBucketBound(0), 1e-9);
-  EXPECT_DOUBLE_EQ(obs::HistogramBucketBound(1), 2e-9);
-  EXPECT_DOUBLE_EQ(obs::HistogramBucketBound(3),
-                   2.0 * obs::HistogramBucketBound(2));
-}
-
-TEST(HistogramQuantileTest, BucketBoundsDoubleGeometrically) {
-  EXPECT_DOUBLE_EQ(obs::HistogramBucketBound(0), obs::kHistogramMinBound);
-  EXPECT_DOUBLE_EQ(obs::HistogramBucketBound(10),
-                   obs::kHistogramMinBound * 1024.0);
 }
 
 TEST_F(ObsTest, ResetForTestZeroesEverything) {
   auto& reg = obs::MetricsRegistry::Global();
   reg.GetCounter("t.reset").Add(9);
   reg.GetGauge("t.reset_g").Set(9);
-  reg.GetHistogram("t.reset_h").Observe(9.0);
   reg.ResetForTest();
   EXPECT_EQ(reg.GetCounter("t.reset").Value(), 0);
   EXPECT_EQ(reg.GetGauge("t.reset_g").Value(), 0);
-  EXPECT_EQ(reg.GetHistogram("t.reset_h").Count(), 0);
 }
 
 TEST_F(ObsTest, SnapshotToJsonIsStable) {
+  // A snapshot of its own (the global registry keeps other tests' names).
+  obs::MetricsSnapshot snap;
+  snap.counters = {{"t.a", 2}, {"t.b", 0}};
+  snap.gauges = {{"t.json_gauge", -3}};
+  EXPECT_EQ(snap.ToJson(),
+            "{\"counters\":{\"t.a\":2,\"t.b\":0},"
+            "\"gauges\":{\"t.json_gauge\":-3}}");
+  EXPECT_EQ(obs::MetricsSnapshot{}.ToJson(),
+            "{\"counters\":{},\"gauges\":{}}");
   obs::AddCount("t.json_counter", 2);
   obs::SetGauge("t.json_gauge", -3);
-  obs::ObserveHistogram("t.json_hist", 0.25);
   const std::string json =
       obs::MetricsRegistry::Global().Snapshot().ToJson();
   EXPECT_NE(json.find("\"t.json_counter\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"t.json_gauge\":-3"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"t.json_hist\":{\"count\":1"), std::string::npos)
-      << json;
 }
 
 TEST_F(ObsTest, JsonEscape) {
@@ -213,37 +184,6 @@ TEST_F(ObsTest, SessionDtorClearsActivePointer) {
     obs::SetActiveTrace(session.get());
   }
   EXPECT_EQ(obs::ActiveTrace(), nullptr);
-}
-
-// ------------------------------------------------------------------ timer
-
-TEST_F(ObsTest, ScopedTimerWithFakeClockIsDeterministic) {
-  obs::FakeClock clock(0, 500'000'000);  // 0.5s per read
-  {
-    obs::ScopedTimer timer("t.timer_seconds", &clock);
-    EXPECT_DOUBLE_EQ(timer.ElapsedSeconds(), 0.5);  // one read after start
-  }
-  obs::HistogramMetric& h =
-      obs::MetricsRegistry::Global().GetHistogram("t.timer_seconds");
-  EXPECT_EQ(h.Count(), 1);
-  EXPECT_DOUBLE_EQ(h.Sum(), 1.0);  // start + Elapsed + dtor = 2 steps
-}
-
-TEST_F(ObsTest, ScopedTimerStopDisarmsDestructor) {
-  obs::FakeClock clock(0, 1'000'000'000);
-  obs::ScopedTimer timer("t.timer_stop", &clock);
-  EXPECT_DOUBLE_EQ(timer.Stop(), 1.0);
-  EXPECT_DOUBLE_EQ(timer.Stop(), 0.0);  // second stop: inert
-  obs::HistogramMetric& h =
-      obs::MetricsRegistry::Global().GetHistogram("t.timer_stop");
-  EXPECT_EQ(h.Count(), 1);
-}
-
-TEST_F(ObsTest, ScopedTimerInertWhenDisabled) {
-  obs::SetEnabled(false);
-  obs::ScopedTimer timer("t.timer_disabled");
-  EXPECT_DOUBLE_EQ(timer.ElapsedSeconds(), 0.0);
-  EXPECT_DOUBLE_EQ(timer.Stop(), 0.0);
 }
 
 TEST_F(ObsTest, InitFromEnvHonorsSwitch) {

@@ -37,8 +37,8 @@ class TsanObsStressTest : public ::testing::Test {
 };
 
 TEST_F(TsanObsStressTest, MetricWritersRaceSnapshotMerger) {
-  // Writers hammer name-keyed counters and histograms (each write takes
-  // the registry's shared lock for lookup, then lock-free shard atomics)
+  // Writers hammer name-keyed counters and a shared gauge (each write
+  // takes the registry's shared lock for lookup, then lock-free atomics)
   // while a dedicated thread snapshots continuously (shared lock + merge
   // reads of every shard). Registration of fresh names mid-flight forces
   // the writer-lock path to interleave with both.
@@ -55,6 +55,12 @@ TEST_F(TsanObsStressTest, MetricWritersRaceSnapshotMerger) {
       for (const auto& [name, value] : snap.counters) {
         ASSERT_GE(value, 0) << name;
       }
+      // Every shared-gauge write is in [0, 17): a torn read would not be.
+      for (const auto& [name, value] : snap.gauges) {
+        if (name != "tsan.shared_gauge") continue;
+        ASSERT_GE(value, 0);
+        ASSERT_LT(value, 17);
+      }
       snapshots_taken.fetch_add(1, std::memory_order_relaxed);
     }
   });
@@ -67,8 +73,7 @@ TEST_F(TsanObsStressTest, MetricWritersRaceSnapshotMerger) {
       for (int i = 0; i < kRoundsPerWriter; ++i) {
         obs::AddCount("tsan.shared_counter", 1);
         obs::AddCount(own, 1);  // per-writer name: registration races
-        obs::ObserveHistogram("tsan.shared_hist",
-                              static_cast<double>(i % 17) * 1e-6);
+        obs::SetGauge("tsan.shared_gauge", i % 17);
         if (i % 64 == 0) {
           // A genuinely fresh name takes the registry's writer lock while
           // the merger holds/releases the reader side.
@@ -85,8 +90,10 @@ TEST_F(TsanObsStressTest, MetricWritersRaceSnapshotMerger) {
   auto& reg = obs::MetricsRegistry::Global();
   EXPECT_EQ(reg.GetCounter("tsan.shared_counter").Value(),
             int64_t{kWriters} * kRoundsPerWriter);
-  EXPECT_EQ(reg.GetHistogram("tsan.shared_hist").Count(),
-            int64_t{kWriters} * kRoundsPerWriter);
+  // Every writer's last write is the same value, so whichever lands last
+  // leaves exactly it.
+  EXPECT_EQ(reg.GetGauge("tsan.shared_gauge").Value(),
+            (kRoundsPerWriter - 1) % 17);
 }
 
 TEST_F(TsanObsStressTest, TraceSpanEmittersAcrossPoolThreads) {
@@ -150,7 +157,7 @@ TEST_F(TsanObsStressTest, EnableToggleRacesRecorders) {
 
   ParallelFor(int64_t{2000}, 6, [](int64_t i) {
     obs::AddCount("tsan.toggle_counter", 1);
-    obs::ObserveHistogram("tsan.toggle_hist", static_cast<double>(i));
+    obs::SetGauge("tsan.toggle_gauge", i);
     obs::TraceSpan span("toggle");
   });
 
@@ -164,10 +171,9 @@ TEST_F(TsanObsStressTest, EnableToggleRacesRecorders) {
   const int64_t count = reg.GetCounter("tsan.toggle_counter").Value();
   EXPECT_GE(count, 0);
   EXPECT_LE(count, 2000);
-  const obs::HistogramMetric& h = reg.GetHistogram("tsan.toggle_hist");
-  int64_t bucket_total = 0;
-  for (int64_t b : h.Buckets()) bucket_total += b;
-  EXPECT_EQ(bucket_total, h.Count());
+  const int64_t gauge = reg.GetGauge("tsan.toggle_gauge").Value();
+  EXPECT_GE(gauge, 0);
+  EXPECT_LT(gauge, 2000);
 }
 
 }  // namespace

@@ -3,11 +3,11 @@
 Raw time sources — ``std::chrono::*_clock::now()``, libc ``clock()``,
 ``clock_gettime()``, ``gettimeofday()`` — are banned outside ``src/obs/``
 (the sanctioned implementation) and ``src/benchutil/`` (the harness layer
-that owns run-scoped timing). Every other call site must inject an
-``obs::Clock`` or use ``obs::ScopedTimer``; that is what keeps the
-determinism contract checkable: timing then cannot leak into verdict
-paths, a ``NullClock``/``FakeClock`` makes traced runs reproducible, and
-disabled-mode builds read no clock at all.
+that owns run-scoped timing). Every other call site must read an
+injected ``obs::Clock`` or time itself with an ``obs::TraceSpan``; that
+is what keeps the determinism contract checkable: timing then cannot
+leak into verdict paths, a ``NullClock``/``FakeClock`` makes traced runs
+reproducible, and disabled-mode builds read no clock at all.
 
 Overlap with rng-stream is intentional and narrower than it looks:
 rng-stream flags wall-clock reads under ``src/`` as *seed material*;
@@ -29,7 +29,7 @@ _LIBC_TIME_FNS = frozenset({"clock_gettime", "gettimeofday", "timespec_get"})
 @register
 class ClockDisciplineChecker(Checker):
     name = "clock-discipline"
-    description = ("timing must go through obs::Clock / obs::ScopedTimer; "
+    description = ("timing must go through obs::Clock / obs::TraceSpan; "
                    "raw clock reads are banned outside src/obs and "
                    "src/benchutil")
     scopes = None
@@ -65,7 +65,7 @@ class ClockDisciplineChecker(Checker):
     def _finding(self, ctx, t, what):
         return Finding(
             self.name, ctx.rel_path, t.line, t.col,
-            f"{what} is a raw clock read: time it with obs::ScopedTimer or "
-            f"an injected obs::Clock (src/obs/clock.h) so traced runs stay "
-            f"reproducible and disabled-mode builds read no clock",
+            f"{what} is a raw clock read: read an injected obs::Clock "
+            f"(src/obs/clock.h) or time it with an obs::TraceSpan so traced "
+            f"runs stay reproducible and disabled-mode builds read no clock",
             ctx.line_text(t.line))

@@ -7,8 +7,8 @@ tools/obs_names.py), so a string literal at an instrumentation call site
 is a name the tooling cannot see. Three literal shapes are flagged in
 src/:
 
-  1. a literal first argument to AddCount / SetGauge / ObserveHistogram;
-  2. a literal first argument to a TraceSpan or ScopedTimer constructor;
+  1. a literal first argument to AddCount / SetGauge;
+  2. a literal first argument to a TraceSpan constructor;
   3. any literal spelled like a registry name (`histest.*` / `stage.*`) —
      catches names smuggled through locals or helper wrappers.
 
@@ -23,8 +23,8 @@ import re
 
 from ..engine import Checker, Finding, register
 
-_ENTRY_POINTS = frozenset({"AddCount", "SetGauge", "ObserveHistogram"})
-_CTOR_TYPES = frozenset({"TraceSpan", "ScopedTimer"})
+_ENTRY_POINTS = frozenset({"AddCount", "SetGauge"})
+_CTOR_TYPES = frozenset({"TraceSpan"})
 
 # Dotted names in the registry's two namespaces. Anchored: plain prose
 # containing "histest." mid-sentence does not match.
@@ -81,7 +81,7 @@ class ObsNameDisciplineChecker(Checker):
                 elif lit is not None and ctor is not None:
                     emit(lit,
                          f"string literal names this {ctor}; use a "
-                         f"constant from src/obs/names.h so the span/timer "
+                         f"constant from src/obs/names.h so the span "
                          f"name is registered for the trace tooling")
             if t.kind == "str" and _NAME_RE.match(t.text.strip('"')):
                 emit(t,

@@ -16,14 +16,14 @@ from pathlib import Path
 
 NAMES_HEADER = Path(__file__).resolve().parent.parent / "src" / "obs" / "names.h"
 
-VALID_KINDS = ("counter", "gauge", "histogram", "span")
+VALID_KINDS = ("counter", "gauge", "span")
 
 
 @dataclass(frozen=True)
 class ObsName:
     ident: str          # C++ constant, e.g. "kPoolRuns"
     name: str           # wire name, e.g. "histest.pool.runs"
-    kind: str           # counter | gauge | histogram | span
+    kind: str           # counter | gauge | span
     description: str
 
 
@@ -82,7 +82,7 @@ def load(path: Path | str = NAMES_HEADER) -> dict:
 
 
 def known_names(path: Path | str = NAMES_HEADER) -> "set[str]":
-    """The full set of wire names (metrics, gauges, histograms, spans)."""
+    """The full set of wire names (counters, gauges, spans)."""
     return set(load(path)["all_names"])
 
 

@@ -39,7 +39,6 @@ import obs_names  # noqa: E402
 OBS_DISABLED_BENCHMARKS = (
     "BM_ObsCounterAddDisabled",
     "BM_ObsTraceSpanDisabled",
-    "BM_ObsScopedTimerDisabled",
     "BM_ObsRecorderEventDisabled",
 )
 
