@@ -26,9 +26,17 @@
 namespace histest {
 namespace {
 
-void BM_AliasSample(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto dist = MakeZipf(n, 1.0).value();
+/// The two AliasSampler representations get their own rows: Zipf(1) has n
+/// distinct values (the per-element alias table), a random 16-histogram
+/// has 16 (stored by level).
+Distribution ZipfPmf(size_t n) { return MakeZipf(n, 1.0).value(); }
+
+Distribution KHistogramPmf(size_t n) {
+  Rng gen(31);
+  return MakeRandomKHistogram(n, 16, gen).value().ToDistribution().value();
+}
+
+void AliasSampleRow(benchmark::State& state, const Distribution& dist) {
   AliasSampler sampler(dist);
   Rng rng(3);
   for (auto _ : state) {
@@ -36,7 +44,16 @@ void BM_AliasSample(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_AliasSample(benchmark::State& state) {
+  AliasSampleRow(state, ZipfPmf(static_cast<size_t>(state.range(0))));
+}
 BENCHMARK(BM_AliasSample)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
+
+void BM_AliasSampleKHist(benchmark::State& state) {
+  AliasSampleRow(state, KHistogramPmf(static_cast<size_t>(state.range(0))));
+}
+BENCHMARK(BM_AliasSampleKHist)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
 void BM_PiecewiseSample(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -82,12 +99,11 @@ BENCHMARK(BM_OracleDrawBatch)->Arg(10000)->Arg(1000000);
 /// against the base-class stream (one Draw() per sample). Args: n,
 /// 8 * count / n (1, 48, 160, 1440: count/n = 1/8, 6, 20, 180), and 1 for
 /// the stream. Items are samples. Named outside the `BM_OracleDraw` CI
-/// filter on purpose: supporting evidence, not a gated row.
-void BM_OracleCounts(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const int64_t count = static_cast<int64_t>(n) * state.range(1) / 8;
+/// filter on purpose: supporting evidence, not a gated row. BM_OracleCounts
+/// runs the column pass (Zipf), BM_OracleCountsKHist the level pass.
+void OracleCountsRow(benchmark::State& state, const Distribution& dist) {
+  const int64_t count = static_cast<int64_t>(dist.size()) * state.range(1) / 8;
   const bool stream = state.range(2) != 0;
-  const auto dist = MakeZipf(n, 1.0).value();
   DistributionOracle oracle(dist, 47);
   for (auto _ : state) {
     const CountVector cv = stream ? oracle.SampleOracle::DrawCounts(count)
@@ -96,14 +112,27 @@ void BM_OracleCounts(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * count);
 }
+
+void OracleCountsArgs(benchmark::internal::Benchmark* b) {
+  for (const int64_t n : {int64_t{1} << 14, int64_t{1} << 18}) {
+    for (const int64_t eighths : {1, 48, 160, 1440}) {
+      for (const int64_t stream : {0, 1}) b->Args({n, eighths, stream});
+    }
+  }
+}
+
+void BM_OracleCounts(benchmark::State& state) {
+  OracleCountsRow(state, ZipfPmf(static_cast<size_t>(state.range(0))));
+}
 BENCHMARK(BM_OracleCounts)
-    ->Apply([](benchmark::internal::Benchmark* b) {
-      for (const int64_t n : {int64_t{1} << 14, int64_t{1} << 18}) {
-        for (const int64_t eighths : {1, 48, 160, 1440}) {
-          for (const int64_t stream : {0, 1}) b->Args({n, eighths, stream});
-        }
-      }
-    })
+    ->Apply(OracleCountsArgs)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_OracleCountsKHist(benchmark::State& state) {
+  OracleCountsRow(state, KHistogramPmf(static_cast<size_t>(state.range(0))));
+}
+BENCHMARK(BM_OracleCountsKHist)
+    ->Apply(OracleCountsArgs)
     ->Unit(benchmark::kMillisecond);
 
 /// The E1 workload at tester scale: k=5 in-class random histograms, the

@@ -67,6 +67,11 @@ int64_t CeilDiv(int64_t a, int64_t b);
 /// is finite and below 2^63, so the cast is always defined.
 int64_t CeilToCount(double x);
 
+/// True when x is a sample budget CeilToCount takes with room to spare:
+/// non-negative and below 2^62, so a Poisson draw around it stays in int64.
+/// False for NaN and infinity.
+inline bool IsCountable(double x) { return x >= 0.0 && x < 0x1p62; }
+
 /// The largest budget multiplier (`sample_scale`, `budget_scale`) a tester
 /// accepts. No experiment or search needs more than a few units; a finite
 /// but huge scale would push stage budgets past int64.

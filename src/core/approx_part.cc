@@ -7,6 +7,10 @@
 
 namespace histest {
 
+double ApproxPartSampleBudget(double b, const ApproxPartOptions& options) {
+  return options.sample_constant * b * std::log2(b + 2.0);
+}
+
 Result<Partition> ApproxPartition(SampleOracle& oracle, double b,
                                   const ApproxPartOptions& options) {
   if (!(b > 0.0)) return Status::InvalidArgument("b must be positive");
@@ -15,8 +19,7 @@ Result<Partition> ApproxPartition(SampleOracle& oracle, double b,
     return Status::InvalidArgument("thresholds must be positive");
   }
   const size_t n = oracle.DomainSize();
-  const int64_t m =
-      CeilToCount(options.sample_constant * b * std::log2(b + 2.0));
+  const int64_t m = CeilToCount(ApproxPartSampleBudget(b, options));
   const CountVector counts = oracle.DrawCounts(m);
   const double md = static_cast<double>(counts.total());
   const double singleton_cut = options.singleton_threshold / b;

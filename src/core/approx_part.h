@@ -19,6 +19,10 @@ struct ApproxPartOptions {
   double close_threshold = 0.75;
 };
 
+/// ApproxPartition's sample budget before rounding up:
+/// sample_constant * b * log2(b + 2).
+double ApproxPartSampleBudget(double b, const ApproxPartOptions& options);
+
 /// Draws O(b log b) samples and returns a partition of the domain into
 /// K <= 2b + 2 intervals such that, with probability >= 9/10:
 ///   (i)   every element with D(i) >= 1/b is a singleton interval;

@@ -127,8 +127,28 @@ Result<HistogramTestReport> RunAlgorithm1(SampleOracle& oracle,
   opts.sieve.sample_constant *= opts.sample_scale;
   opts.final_test.sample_constant *= opts.sample_scale;
 
+  const double nd = static_cast<double>(n);
+  const double b = std::max(1.0, std::min(spec.b, nd));
+  const double eps_learn = opts.learner_eps_fraction * eps;
+  const double eps_final = opts.final_eps_fraction * eps;
+  const double m_final =
+      opts.final_test.sample_constant * std::sqrt(nd) / (eps_final * eps_final);
+
+  // Every stage's budget must be countable before the first draw: they grow
+  // like 1/eps^2, so a tiny eps pushes them past int64. ApproxPart's K, which
+  // sizes the learner's, is at most n and at most two intervals per sample.
+  const double m_approx = ApproxPartSampleBudget(b, opts.approx_part);
+  const double k_max = std::min(nd, 2.0 * m_approx + 1.0);
+  for (const double m :
+       {m_approx, LearnerSampleBudget(k_max, eps_learn, opts.learner),
+        SieveSampleBudget(n, eps, opts.sieve), m_final}) {
+    if (!IsCountable(m)) {
+      return Status::InvalidArgument(
+          "eps too small: a stage's sample budget is past 2^62");
+    }
+  }
+
   // --- Steps 1-3: ApproxPart. ---
-  const double b = std::max(1.0, std::min(spec.b, static_cast<double>(n)));
   auto partition = RunStage(
       kApproxPartStage, oracle, report,
       [&] { return ApproxPartition(oracle, b, opts.approx_part); },
@@ -141,7 +161,6 @@ Result<HistogramTestReport> RunAlgorithm1(SampleOracle& oracle,
   report.partition_size = partition.value().NumIntervals();
 
   // --- Step 4: chi-square learner. ---
-  const double eps_learn = opts.learner_eps_fraction * eps;
   auto dhat = RunStage(
       kLearnerStage, oracle, report,
       [&] {
@@ -190,10 +209,6 @@ Result<HistogramTestReport> RunAlgorithm1(SampleOracle& oracle,
   if (!check.value().close) return finish(Verdict::kReject, "check");
 
   // --- Step 13: restricted [ADK15] identity test against the hypothesis. --
-  const double eps_final = opts.final_eps_fraction * eps;
-  const double m_final = opts.final_test.sample_constant *
-                         std::sqrt(static_cast<double>(n)) /
-                         (eps_final * eps_final);
   auto final_outcome = RunStage(
       kFinalStage, oracle, report,
       [&] {

@@ -5,6 +5,11 @@
 
 namespace histest {
 
+double LearnerSampleBudget(double intervals, double eps,
+                           const LearnerOptions& options) {
+  return options.sample_constant * intervals / (eps * eps);
+}
+
 Result<PiecewiseConstant> LearnHistogramChiSquare(
     SampleOracle& oracle, const Partition& partition, double eps,
     const LearnerOptions& options) {
@@ -15,8 +20,8 @@ Result<PiecewiseConstant> LearnHistogramChiSquare(
     return Status::InvalidArgument("oracle/partition domain mismatch");
   }
   const size_t big_k = partition.NumIntervals();
-  const int64_t m = CeilToCount(options.sample_constant *
-                                static_cast<double>(big_k) / (eps * eps));
+  const int64_t m = CeilToCount(
+      LearnerSampleBudget(static_cast<double>(big_k), eps, options));
   const CountVector counts = oracle.DrawCounts(m);
   const std::vector<int64_t> interval_counts = counts.IntervalCounts(partition);
   const double denom = static_cast<double>(m) + static_cast<double>(big_k);

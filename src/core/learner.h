@@ -17,6 +17,11 @@ struct LearnerOptions {
   double sample_constant = 4.0;
 };
 
+/// The learner's sample budget before rounding up for a partition of
+/// `intervals` intervals: sample_constant * intervals / eps^2.
+double LearnerSampleBudget(double intervals, double eps,
+                           const LearnerOptions& options);
+
 /// The Laplace ("add-one") interval estimator of Lemma 3.5: draws
 /// m = O(K / eps^2) samples and outputs the K-piece histogram
 ///   Dhat(j) = (m_I + 1) / (m + K) * 1 / |I|   for j in I.

@@ -33,6 +33,11 @@ double ActiveAepsCount(std::span<const double> dstar,
 
 }  // namespace
 
+double SieveSampleBudget(size_t n, double eps, const SieveOptions& options) {
+  return options.sample_constant * std::sqrt(static_cast<double>(n)) /
+         (eps * eps);
+}
+
 Result<SieveResult> SieveIntervals(SampleOracle& oracle,
                                    std::span<const double> dstar,
                                    const Partition& partition, size_t k,
@@ -47,8 +52,7 @@ Result<SieveResult> SieveIntervals(SampleOracle& oracle,
     return Status::InvalidArgument("oracle/dstar/partition size mismatch");
   }
   const size_t big_k = partition.NumIntervals();
-  const double n = static_cast<double>(dstar.size());
-  const double m = options.sample_constant * std::sqrt(n) / (eps * eps);
+  const double m = SieveSampleBudget(dstar.size(), eps, options);
   const double eps_final = options.final_eps_fraction * eps;
   const double big_t =
       options.final_accept_threshold * m * eps_final * eps_final;

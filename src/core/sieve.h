@@ -63,6 +63,10 @@ struct SieveResult {
   std::string detail;
 };
 
+/// The mean of each Poissonized Z pass of the sieve over a domain of n:
+/// sample_constant * sqrt(n) / eps^2.
+double SieveSampleBudget(size_t n, double eps, const SieveOptions& options);
+
 /// Runs the two-stage sieve against the learned hypothesis `dstar` (dense,
 /// passed as a span so arena-backed buffers work): first discards intervals
 /// whose median Z is individually damning, then iteratively removes the

@@ -12,21 +12,30 @@
 namespace histest {
 namespace {
 
-/// Poisson(mean) draws for AddCounts' columns. Below kTableLimit it is
-/// inversion through a cumulative table with a guide table, one uniform
+/// Level of an element of mass 0: it takes no draws.
+constexpr uint8_t kNoLevel = AliasSampler::kMaxLevels;
+
+/// Poisson(mean) draws for one of AddCounts' samplers, which serves
+/// `elements` draws per pass. With a table of at most `elements` entries it
+/// is inversion through a cumulative table with a guide table, one uniform
 /// per draw; the guide has a power-of-two size, so u * size and cdf * size
-/// are exact and a lookup never lands past its answer. Above the limit
-/// the table would outgrow its use, and exp(-mean) would near underflow
-/// past ~745, so Rng::Poisson takes over.
+/// are exact and a lookup never lands past its answer. A larger table would
+/// cost more to build than the draws it serves save, so Rng::Poisson takes
+/// over, as it does from kTableLimit on, where exp(-mean) would near
+/// underflow (past ~745).
 class ColumnPoisson {
  public:
   static constexpr double kTableLimit = 500.0;
 
-  explicit ColumnPoisson(double mean) : mean_(mean) {
+  ColumnPoisson(double mean, size_t elements) : mean_(mean) {
     if (mean >= kTableLimit) return;
     KahanSum cdf;
     double pmf = std::exp(-mean);
     for (int64_t k = 0;; ++k) {
+      if (cdf_.size() == elements) {
+        cdf_.clear();
+        return;
+      }
       if (k > 0) pmf *= mean / static_cast<double>(k);
       cdf.Add(pmf);
       cdf_.push_back(cdf.Total());
@@ -96,6 +105,45 @@ int64_t DrawColumns(Rng& rng, const ColumnPoisson& column, const double* prob,
   return drawn;
 }
 
+/// One level pass over elements [begin, end): element j takes a draw from
+/// its level's sampler. Returns the pass's draw total.
+int64_t DrawLevels(Rng& rng, const ColumnPoisson* poisson,
+                   const uint8_t* level, size_t begin, size_t end,
+                   int64_t* counts) {
+  int64_t drawn = 0;
+  for (size_t j = begin; j < end; ++j) {
+    if (level[j] == kNoLevel) continue;
+    const int64_t draws = poisson[level[j]].Draw(rng);
+    counts[j] += draws;
+    drawn += draws;
+  }
+  return drawn;
+}
+
+/// Runs pass(rng, begin, end) over [0, n) and returns the sum of its draw
+/// totals. A domain of one block runs on `rng`. Wider ones run blocks of
+/// kColumnBlock elements with ParallelFor on the shared pool, each on an
+/// Rng forked from `rng` in block order before the region: the result
+/// depends on the seed only, never on which executor runs which block.
+template <typename Pass>
+int64_t RunBlocks(Rng& rng, size_t n, const Pass& pass) {
+  constexpr size_t kBlock = AliasSampler::kColumnBlock;
+  const size_t blocks = (n + kBlock - 1) / kBlock;
+  if (blocks == 1) return pass(rng, 0, n);
+  std::vector<Rng> block_rngs;
+  block_rngs.reserve(blocks);
+  for (size_t b = 0; b < blocks; ++b) block_rngs.push_back(rng.Fork());
+  std::vector<int64_t> block_drawn(blocks);
+  const int executors = ThreadPool::Shared().size() + 1;
+  ParallelFor(static_cast<int64_t>(blocks), executors, [&](int64_t b) {
+    const size_t begin = static_cast<size_t>(b) * kBlock;
+    block_drawn[b] = pass(block_rngs[b], begin, std::min(n, begin + kBlock));
+  });
+  int64_t drawn = 0;
+  for (const int64_t d : block_drawn) drawn += d;
+  return drawn;
+}
+
 /// SampleBatch's table pass: out[i] = us[i] < prob[cols[i]] ? cols[i] :
 /// alias[cols[i]], the comparison Sample() makes. The (column, alias) cache
 /// lines are prefetched a few iterations ahead: for tables beyond the L2
@@ -118,27 +166,34 @@ void ResolveAlias(const double* prob, const size_t* alias,
   }
 }
 
-}  // namespace
-
-AliasSampler::AliasSampler(const Distribution& dist) { Build(dist.pmf()); }
-
-AliasSampler::AliasSampler(const std::vector<double>& weights) {
-  HISTEST_CHECK(!weights.empty());
-  const double total = SumOf(weights);
-  HISTEST_CHECK_GT(total, 0.0);
-  std::vector<double> normalized = weights;
-  for (double& w : normalized) {
-    HISTEST_CHECK_GE(w, 0.0);
-    w /= total;
+/// SampleBatch's table pass by level: the level alias select as in
+/// ResolveAlias, then member bits[i] of the level by UniformInt's
+/// multiply-shift. Returns the first i whose member draw needs UniformInt's
+/// rejection step (probability below size / 2^64), or `count`.
+int64_t ResolveLevels(const double* prob, const size_t* alias,
+                      const size_t* level_begin, const uint32_t* members,
+                      const uint64_t* cols, const double* us,
+                      const uint64_t* bits, size_t* out, int64_t count) {
+  for (int64_t i = 0; i < count; ++i) {
+    const size_t column = static_cast<size_t>(cols[i]);
+    const size_t keep = size_t{0} - static_cast<size_t>(us[i] < prob[column]);
+    const size_t level = (column & keep) | (alias[column] & ~keep);
+    const uint64_t size = level_begin[level + 1] - level_begin[level];
+    const __uint128_t scaled = static_cast<__uint128_t>(bits[i]) * size;
+    const uint64_t low = static_cast<uint64_t>(scaled);
+    if (low < size && low < (0 - size) % size) return i;
+    out[i] = members[level_begin[level] + static_cast<size_t>(scaled >> 64)];
   }
-  Build(std::move(normalized));
+  return count;
 }
 
-void AliasSampler::Build(std::vector<double> weights) {
+/// Vose's stable alias construction over `weights`, which sum to 1.
+void BuildAliasTable(const std::vector<double>& weights,
+                     std::vector<double>& prob, std::vector<size_t>& alias) {
   const size_t n = weights.size();
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
-  // Vose's stable construction: scale to mean 1, split into small/large.
+  prob.assign(n, 0.0);
+  alias.assign(n, 0);
+  // Scale to mean 1, split into small/large.
   std::vector<double> scaled(n);
   for (size_t i = 0; i < n; ++i) {
     scaled[i] = weights[i] * static_cast<double>(n);
@@ -154,25 +209,115 @@ void AliasSampler::Build(std::vector<double> weights) {
     small.pop_back();
     const size_t l = large.back();
     large.pop_back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
+    prob[s] = scaled[s];
+    alias[s] = l;
     scaled[l] = (scaled[l] + scaled[s]) - 1.0;
     (scaled[l] < 1.0 ? small : large).push_back(l);
   }
   // Leftovers are 1 up to rounding.
   for (size_t i : large) {
-    prob_[i] = 1.0;
-    alias_[i] = i;
+    prob[i] = 1.0;
+    alias[i] = i;
   }
   for (size_t i : small) {
-    prob_[i] = 1.0;
-    alias_[i] = i;
+    prob[i] = 1.0;
+    alias[i] = i;
   }
+}
+
+}  // namespace
+
+AliasSampler::AliasSampler(const Distribution& dist) { Build(dist.pmf()); }
+
+AliasSampler::AliasSampler(const std::vector<double>& weights) {
+  HISTEST_CHECK(!weights.empty());
+  const double total = SumOf(weights);
+  HISTEST_CHECK_GT(total, 0.0);
+  std::vector<double> normalized = weights;
+  for (double& w : normalized) {
+    HISTEST_CHECK_GE(w, 0.0);
+    w /= total;
+  }
+  Build(normalized);
+}
+
+void AliasSampler::Build(const std::vector<double>& weights) {
+  size_ = weights.size();
+  if (!BuildLevels(weights)) BuildAliasTable(weights, prob_, alias_);
+}
+
+bool AliasSampler::BuildLevels(const std::vector<double>& weights) {
+  const size_t n = weights.size();
+  if (n > (size_t{1} << 32)) return false;
+  // The distinct positive values, ascending. A run of equal values (a
+  // k-histogram's piece) costs one comparison per element.
+  std::vector<double> values;
+  double last = 0.0;
+  for (const double w : weights) {
+    if (ExactlyEqual(w, last) || ExactlyEqual(w, 0.0)) continue;
+    last = w;
+    const auto it = std::lower_bound(values.begin(), values.end(), w);
+    if (it != values.end() && ExactlyEqual(*it, w)) continue;
+    if (values.size() == kMaxLevels) return false;
+    values.insert(it, w);
+  }
+  const size_t num_levels = values.size();
+  level_.resize(n);
+  last = 0.0;
+  uint8_t last_level = kNoLevel;
+  for (size_t i = 0; i < n; ++i) {
+    if (!ExactlyEqual(weights[i], last)) {
+      last = weights[i];
+      last_level = ExactlyEqual(last, 0.0)
+                       ? kNoLevel
+                       : static_cast<uint8_t>(
+                             std::lower_bound(values.begin(), values.end(),
+                                              last) -
+                             values.begin());
+    }
+    level_[i] = last_level;
+  }
+  // Group the element ids by level (a counting sort, ids ascending).
+  level_begin_.assign(num_levels + 1, 0);
+  for (const uint8_t l : level_) {
+    if (l != kNoLevel) ++level_begin_[l + 1];
+  }
+  for (size_t l = 0; l < num_levels; ++l) {
+    level_begin_[l + 1] += level_begin_[l];
+  }
+  members_.resize(level_begin_[num_levels]);
+  std::vector<size_t> next(level_begin_.begin(), level_begin_.end() - 1);
+  for (size_t i = 0; i < n; ++i) {
+    if (level_[i] != kNoLevel) {
+      members_[next[level_[i]]++] = static_cast<uint32_t>(i);
+    }
+  }
+  // Normalize by the levels' total mass, so that the level pass and the
+  // level alias table sample one law.
+  KahanSum total;
+  for (size_t l = 0; l < num_levels; ++l) {
+    total.Add(values[l] *
+              static_cast<double>(level_begin_[l + 1] - level_begin_[l]));
+  }
+  level_value_.resize(num_levels);
+  std::vector<double> masses(num_levels);
+  for (size_t l = 0; l < num_levels; ++l) {
+    level_value_[l] = values[l] / total.Total();
+    masses[l] = level_value_[l] *
+                static_cast<double>(level_begin_[l + 1] - level_begin_[l]);
+  }
+  BuildAliasTable(masses, prob_, alias_);
+  return true;
 }
 
 size_t AliasSampler::Sample(Rng& rng) const {
   const size_t column = static_cast<size_t>(rng.UniformInt(prob_.size()));
-  return rng.UniformDouble() < prob_[column] ? column : alias_[column];
+  const size_t pick =
+      rng.UniformDouble() < prob_[column] ? column : alias_[column];
+  if (members_.empty()) return pick;
+  const size_t begin = level_begin_[pick];
+  return members_[begin + static_cast<size_t>(rng.UniformInt(
+                              level_begin_[pick + 1] - begin))];
 }
 
 void AliasSampler::SampleBatch(Rng& rng, size_t* out, int64_t count) const {
@@ -181,15 +326,39 @@ void AliasSampler::SampleBatch(Rng& rng, size_t* out, int64_t count) const {
   // then the table-resolution pass, which makes the same `u < prob[col]`
   // comparison, so the output stream is bit-identical to repeated Sample()
   // calls.
-  const uint64_t n = prob_.size();
+  const uint64_t columns = prob_.size();
   constexpr int64_t kChunk = 1024;
   uint64_t cols[kChunk];
   double us[kChunk];
   int64_t done = 0;
+  if (members_.empty()) {
+    while (done < count) {
+      const int64_t c = std::min(count - done, kChunk);
+      rng.FillPairs(columns, cols, us, c);
+      ResolveAlias(prob_.data(), alias_.data(), cols, us, out + done, c);
+      done += c;
+    }
+    return;
+  }
+  // By level, the RNG pass also takes the 64 bits of each member draw.
+  uint64_t bits[kChunk];
   while (done < count) {
-    const int64_t c = std::min(count - done, kChunk);
-    rng.FillPairs(n, cols, us, c);
-    ResolveAlias(prob_.data(), alias_.data(), cols, us, out + done, c);
+    int64_t c = std::min(count - done, kChunk);
+    const Rng chunk_start = rng;
+    for (int64_t i = 0; i < c; ++i) {
+      rng.FillPairs(columns, cols + i, us + i, 1);
+      bits[i] = rng.Next();
+    }
+    const int64_t resolved =
+        ResolveLevels(prob_.data(), alias_.data(), level_begin_.data(),
+                      members_.data(), cols, us, bits, out + done, c);
+    if (resolved < c) {
+      // Member draw `resolved` takes more bits than the RNG pass gave it:
+      // replay the chunk up to and including it with Sample().
+      rng = chunk_start;
+      for (int64_t i = 0; i <= resolved; ++i) out[done + i] = Sample(rng);
+      c = resolved + 1;
+    }
     done += c;
   }
 }
@@ -197,47 +366,38 @@ void AliasSampler::SampleBatch(Rng& rng, size_t* out, int64_t count) const {
 void AliasSampler::AddCounts(Rng& rng, int64_t count,
                              int64_t* counts) const {
   HISTEST_CHECK_GE(count, 0);
-  const size_t n = prob_.size();
+  const size_t n = size_;
   const double m = static_cast<double>(count);
-  const double mean = (m - 3.0 * std::sqrt(m)) / static_cast<double>(n);
+  const double mu = m - 3.0 * std::sqrt(m);
   int64_t drawn = 0;
-  if (mean > 0.0) {
-    const ColumnPoisson column(mean);
-    const size_t blocks = (n + kColumnBlock - 1) / kColumnBlock;
-    // Multi-block scratch: one forked stream and one total per block, and
-    // the leave counts parked until every block is done.
-    std::vector<Rng> block_rngs;
-    std::vector<int64_t> block_drawn(blocks);
-    std::vector<uint32_t> parked(blocks > 1 ? n : 0);
-    // The pass total is Poisson(count - 3 sqrt(count)), so it exceeds
-    // count with probability ~0.13%; such a pass is cleared and drawn
-    // again.
-    while (true) {
-      if (blocks == 1) {
-        drawn = DrawColumns(rng, column, prob_.data(), alias_.data(), 0, n,
-                            counts, nullptr);
-      } else {
-        // Forked in block order before the region: the result depends on
-        // the seed only, never on which executor runs which block.
-        block_rngs.clear();
-        for (size_t b = 0; b < blocks; ++b) block_rngs.push_back(rng.Fork());
-        const int executors = ThreadPool::Shared().size() + 1;
-        ParallelFor(static_cast<int64_t>(blocks), executors, [&](int64_t b) {
-          const size_t begin = static_cast<size_t>(b) * kColumnBlock;
-          block_drawn[b] = DrawColumns(block_rngs[b], column, prob_.data(),
-                                       alias_.data(), begin,
-                                       std::min(n, begin + kColumnBlock),
-                                       counts, parked.data());
-        });
-        drawn = 0;
-        for (const int64_t d : block_drawn) drawn += d;
-      }
-      if (drawn <= count) break;
+  // The pass total is Poisson(mu), so it exceeds count with probability
+  // ~0.13%; such a pass is cleared and drawn again.
+  const auto draw_pass = [&](const auto& pass) {
+    while ((drawn = RunBlocks(rng, n, pass)) > count) {
       std::fill(counts, counts + n, int64_t{0});
     }
-    if (blocks > 1) {
-      for (size_t j = 0; j < n; ++j) counts[alias_[j]] += parked[j];
+  };
+  if (mu > 0.0 && !members_.empty()) {
+    std::vector<ColumnPoisson> poisson;
+    poisson.reserve(level_value_.size());
+    for (size_t l = 0; l < level_value_.size(); ++l) {
+      poisson.emplace_back(mu * level_value_[l],
+                           level_begin_[l + 1] - level_begin_[l]);
     }
+    draw_pass([&](Rng& block_rng, size_t begin, size_t end) {
+      return DrawLevels(block_rng, poisson.data(), level_.data(), begin, end,
+                        counts);
+    });
+  } else if (mu > 0.0) {
+    const ColumnPoisson column(mu / static_cast<double>(n), n);
+    // A multi-block pass parks its leave counts until every block is done.
+    std::vector<uint32_t> parked(n > kColumnBlock ? n : 0);
+    uint32_t* const parked_or_null = parked.empty() ? nullptr : parked.data();
+    draw_pass([&](Rng& block_rng, size_t begin, size_t end) {
+      return DrawColumns(block_rng, column, prob_.data(), alias_.data(),
+                         begin, end, counts, parked_or_null);
+    });
+    for (size_t j = 0; j < parked.size(); ++j) counts[alias_[j]] += parked[j];
   }
   constexpr int64_t kChunk = 1024;
   size_t buffer[kChunk];

@@ -12,10 +12,21 @@ namespace histest {
 
 /// Walker alias-method sampler: O(n) construction, O(1) per sample. This is
 /// the workhorse behind every sample oracle.
+///
+/// It has two representations, picked from the pmf alone. A pmf with at
+/// most kMaxLevels distinct positive values over at most 2^32 elements (every
+/// k-histogram with k <= 255, and the far instances built around them) is
+/// stored by level: a one-byte level per element, the element ids grouped by
+/// level, and an alias table over the levels weighted by level mass, about
+/// 5 bytes per element. Any other pmf gets the per-element alias table, 16
+/// bytes per element.
 class AliasSampler {
  public:
-  /// Columns per block of a multi-block AddCounts pass (see AddCounts).
+  /// Columns (elements) per block of a multi-block AddCounts pass.
   static constexpr size_t kColumnBlock = size_t{1} << 14;
+
+  /// Most distinct positive pmf values a pmf stored by level may have.
+  static constexpr size_t kMaxLevels = 255;
 
   /// Builds a sampler for the given distribution.
   explicit AliasSampler(const Distribution& dist);
@@ -25,9 +36,14 @@ class AliasSampler {
   explicit AliasSampler(const std::vector<double>& weights);
 
   /// Domain size.
-  size_t size() const { return prob_.size(); }
+  size_t size() const { return size_; }
 
-  /// Draws one sample.
+  /// Number of levels (distinct positive pmf values) when the pmf is
+  /// stored by level; 0 for a per-element alias table.
+  size_t levels() const { return members_.empty() ? 0 : prob_.size(); }
+
+  /// Draws one sample. Stored by level, it picks a level by mass (alias
+  /// method over the levels), then a uniform member of that level.
   size_t Sample(Rng& rng) const;
 
   /// Draws `count` samples into `out` with one tight loop (no per-sample
@@ -39,30 +55,42 @@ class AliasSampler {
 
   /// Writes the counts of `count` iid samples into counts[0, size()),
   /// which must be zero on entry: an exact Multinomial(count, pmf) draw in
-  /// O(size() + sqrt(count)) expected time, not O(count). Each column takes
-  /// a Poisson(lambda) number of draws, lambda = (count - 3 sqrt(count)) /
-  /// size(), split between the column and its alias by the alias coin;
-  /// given their total s <= count this is Multinomial(s), and count - s
-  /// SampleBatch draws top it up (a pass with s > count is cleared and
-  /// redrawn). Not stream-identical to SampleBatch; deterministic for a
-  /// given Rng state.
+  /// O(size() + sqrt(count)) expected time, not O(count). A Poissonized
+  /// pass with total mean mu = count - 3 sqrt(count) comes first. Stored
+  /// by level, element i takes a Poisson(mu p_i) count from its level's
+  /// sampler (elements of mass 0 take nothing and consume no randomness).
+  /// Otherwise each alias column takes a Poisson(mu / size()) number of
+  /// draws, split between the column and its alias by the alias coin.
+  /// Either way, given the pass total s <= count the vector is
+  /// Multinomial(s, pmf), and count - s SampleBatch draws top it up (a pass
+  /// with s > count is cleared and redrawn). Not stream-identical to
+  /// SampleBatch; deterministic for a given Rng state.
   ///
-  /// Columns are independent (Poissonization), so a domain wider than
-  /// kColumnBlock is drawn in blocks of kColumnBlock columns on the shared
-  /// ThreadPool: one Rng forked from `rng` per block, in block order, then
-  /// a serial scatter of the blocks' alias counts. The result depends on
-  /// the Rng state only, never on the executor count; the top-up draws
-  /// from `rng` itself. A domain of one block is drawn serially on `rng`.
+  /// Elements are independent in the pass (Poissonization), so a domain
+  /// wider than kColumnBlock is drawn in blocks of kColumnBlock elements on
+  /// the shared ThreadPool: one Rng forked from `rng` per block, in block
+  /// order (the per-element alias table then scatters the blocks' parked
+  /// alias counts serially). The result depends on the Rng state only,
+  /// never on the executor count; the top-up draws from `rng` itself. A
+  /// domain of one block is drawn serially on `rng`.
   void AddCounts(Rng& rng, int64_t count, int64_t* counts) const;
 
-  /// Read-only view of the alias table's keep probabilities.
-  const std::vector<double>& prob() const { return prob_; }
-
  private:
-  void Build(std::vector<double> weights);
+  void Build(const std::vector<double>& weights);
+  bool BuildLevels(const std::vector<double>& weights);
 
+  size_t size_ = 0;
+  // Alias table over the columns: the elements, or the levels when the pmf
+  // is stored by level.
   std::vector<double> prob_;
   std::vector<size_t> alias_;
+  // By level (all empty for a per-element table): level_[i] is element i's
+  // level, or kMaxLevels for mass 0; level_value_[l] is the level's pmf
+  // value; members_[level_begin_[l], level_begin_[l + 1]) are its elements.
+  std::vector<uint8_t> level_;
+  std::vector<double> level_value_;
+  std::vector<size_t> level_begin_;
+  std::vector<uint32_t> members_;
 };
 
 /// Sampler for a succinct piecewise-constant distribution: chooses a piece

@@ -13,7 +13,9 @@
 
 namespace histest {
 
-/// Oracle backed by an explicit distribution (alias-method sampling).
+/// Oracle backed by an explicit distribution (AliasSampler: a per-element
+/// alias table, or, for a pmf with at most AliasSampler::kMaxLevels distinct
+/// values, an index by level).
 ///
 /// The sampler tables are immutable and held by shared_ptr, so many oracles
 /// (e.g. the parallel trials of EstimateAcceptanceParallel) can share one
@@ -22,13 +24,13 @@ namespace histest {
 ///
 /// Draw, DrawBatch and sparse-shaped DrawCounts are stream-identical to
 /// repeated Draw() calls. A dense-shaped DrawCounts (count >= n/8, see
-/// CountVector::ShapedFor) on the alias backend is drawn at the count level
-/// by AliasSampler::AddCounts: O(n) work, an exact multinomial over the
-/// same table, but a different use of the Rng stream. Above
-/// AliasSampler::kColumnBlock columns that call runs column blocks on the
-/// shared ThreadPool from Rngs forked off this oracle's stream; the counts
-/// still depend on the seed alone. The piecewise backend always uses the
-/// stream.
+/// CountVector::ShapedFor) on the AliasSampler backend is drawn at the
+/// count level by AliasSampler::AddCounts: O(n) work, an exact multinomial
+/// over the same pmf, but a different use of the Rng stream (one Poisson
+/// draw per element by level, or per alias column). Above
+/// AliasSampler::kColumnBlock elements that call runs blocks on the shared
+/// ThreadPool from Rngs forked off this oracle's stream; the counts still
+/// depend on the seed alone. The piecewise backend always uses the stream.
 class DistributionOracle : public SampleOracle {
  public:
   DistributionOracle(const Distribution& dist, uint64_t seed);

@@ -51,7 +51,10 @@ TEST(HistogramTesterTest, HostileParametersAreInvalidArgument) {
     EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(oracle.SamplesDrawn(), 0);
   };
-  for (const double eps : {std::nan(""), 0.0, 1.5}) expect_invalid(2, eps, 1.0);
+  // 1e-9 and 1e-300 are in (0, 1], but their stage budgets are past int64.
+  for (const double eps : {std::nan(""), 0.0, 1.5, 1e-9, 1e-300}) {
+    expect_invalid(2, eps, 1.0);
+  }
   expect_invalid(0, 0.25, 1.0);
   expect_invalid(2, 0.25, 0.0);
   expect_invalid(2, 0.25, std::nan(""));

@@ -80,7 +80,7 @@ TEST(KModalTesterTest, AcceptsBimodalWithEnoughChanges) {
 
 TEST(KModalTesterTest, ValidatesEps) {
   DistributionOracle oracle(Distribution::UniformOver(64), 3);
-  for (const double eps : {0.0, std::nan(""), 1.5}) {
+  for (const double eps : {0.0, std::nan(""), 1.5, 1e-9, 1e-300}) {
     KModalTester tester(1, eps, KModalTesterOptions{}, 5);
     auto outcome = tester.Test(oracle);
     ASSERT_FALSE(outcome.ok()) << eps;

@@ -74,19 +74,45 @@ TEST(AliasSamplerTest, SampleMany) {
   for (size_t s : samples) EXPECT_LT(s, 4u);
 }
 
+TEST(AliasSamplerTest, RepresentationFollowsTheDistinctValues) {
+  // Stored by level up to kMaxLevels distinct positive values, whatever n
+  // is; mass-0 elements are no level.
+  EXPECT_EQ(AliasSampler(Distribution::UniformOver(1 << 16)).levels(), 1u);
+  EXPECT_EQ(AliasSampler(Distribution::PointMass(1000, 3)).levels(), 1u);
+  EXPECT_EQ(AliasSampler(MakeZipf(255, 1.0).value()).levels(), 255u);
+  std::vector<double> weights(600, 0.0);
+  for (size_t i = 0; i < 255; ++i) weights[2 * i] = 1.0 + i;
+  EXPECT_EQ(AliasSampler(weights).levels(), 255u);
+  weights[599] = 1000.0;  // the 256th distinct value
+  EXPECT_EQ(AliasSampler(weights).levels(), 0u);
+  EXPECT_EQ(AliasSampler(MakeZipf(1024, 1.0).value()).levels(), 0u);
+}
+
 TEST(AliasSamplerTest, SampleBatchStreamMatchesRepeatedSample) {
-  // Two tables: random weights, whose prob values spread over (0, 1], and a
-  // k-histogram, whose few distinct mid-range prob values are the tester's
-  // common case. The lengths cross SampleBatch's 1024-sample chunk boundary.
+  // Four tables: random weights, whose prob values spread over (0, 1] (the
+  // per-element table); a k-histogram, whose few values are the tester's
+  // common case; an interleaved three-valued pmf with mass-0 elements; and
+  // two singleton levels. The last three are stored by level. The lengths
+  // cross SampleBatch's 1024-sample chunk boundary.
   Rng weights_rng(4106);
   std::vector<double> weights(777);
   for (double& w : weights) w = weights_rng.UniformDouble();
   const AliasSampler random_table(weights);
   const AliasSampler staircase(
       MakeStaircase(777, 7).value().ToDistribution().value());
+  for (size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = i % 5 == 0 ? 0.0 : 1.0 + static_cast<double>(i % 3);
+  }
+  const AliasSampler interleaved(weights);
+  const AliasSampler singletons(std::vector<double>{1.0, 3.0});
+  ASSERT_EQ(random_table.levels(), 0u);
+  ASSERT_EQ(staircase.levels(), 7u);
+  ASSERT_EQ(interleaved.levels(), 3u);
+  ASSERT_EQ(singletons.levels(), 2u);
   const int64_t kCounts[] = {0, 1, 3, 4, 5, 7, 8, 9, 31, 1023, 1024, 1025,
                              2049};
-  for (const AliasSampler* sampler : {&random_table, &staircase}) {
+  for (const AliasSampler* sampler :
+       {&random_table, &staircase, &interleaved, &singletons}) {
     for (const int64_t count : kCounts) {
       const size_t len = static_cast<size_t>(count);
       Rng rng_batch(static_cast<uint64_t>(9000 + count));
@@ -264,7 +290,8 @@ void ExpectMultinomialMoments(const Distribution& dist, int64_t count,
 }
 
 /// Three heavy elements first (0.3, 0.2, 0.1), the rest of the mass spread
-/// unevenly so the alias table has columns with every kind of split.
+/// unevenly over seven more values: ten levels, so the sampler is stored
+/// by level, with levels of every size from one element to n/7.
 Distribution HeavyHeadPmf(size_t n) {
   std::vector<double> w(n);
   w[0] = 0.3;
@@ -278,55 +305,106 @@ Distribution HeavyHeadPmf(size_t n) {
   return Distribution::Create(w).value();
 }
 
+/// A many-valued pmf (n >= 256 distinct values, so the per-element alias
+/// table) with a heavy head: Zipf(1) puts 1/H_n on element 0, and the alias
+/// table has columns with every kind of split.
+Distribution ManyValuedPmf(size_t n) {
+  const Distribution zipf = MakeZipf(n, 1.0).value();
+  EXPECT_EQ(AliasSampler(zipf).levels(), 0u);
+  return zipf;
+}
+
 TEST(AddCountsTest, MultinomialJustAboveSparseCutover) {
   // count = n/8 + 1: the smallest dense shape, lambda ~ 0.09 per column.
   ExpectMultinomialMoments(HeavyHeadPmf(1024), 129, 4, 101);
+  ExpectMultinomialMoments(ManyValuedPmf(1024), 129, 4, 121);
 }
 
 TEST(AddCountsTest, MultinomialBernoulliSplit) {
-  // count / n = 20: columns mostly split by summed coin flips.
+  // count / n = 20: columns mostly split by summed coin flips; by level,
+  // the tail levels draw from tables.
   ExpectMultinomialMoments(HeavyHeadPmf(256), 20 * 256, 4, 102);
-  // count / n = 4 over three column blocks, the last one ragged: the
+  ExpectMultinomialMoments(ManyValuedPmf(256), 20 * 256, 4, 122);
+  // count / n = 4 over three blocks, the last one ragged. Per element, the
   // tracked heavy head collects most of its count through the blocks'
-  // parked alias counts. Fewer reps keep the case short; a Poissonized
-  // vector's heavy-element variance is still over 10 standard errors off.
+  // parked alias counts; by level, the blocks are the multi-block level
+  // pass. Fewer reps keep the case short; a Poissonized vector's
+  // heavy-element variance is still over 10 standard errors off.
   ExpectMultinomialMoments(HeavyHeadPmf(kMultiBlockN),
                            4 * static_cast<int64_t>(kMultiBlockN), 4, 112,
+                           2000);
+  ExpectMultinomialMoments(ManyValuedPmf(kMultiBlockN),
+                           4 * static_cast<int64_t>(kMultiBlockN), 4, 132,
                            2000);
 }
 
 TEST(AddCountsTest, MultinomialBinomialSplitFromTable) {
-  // count / n = 200: table-drawn columns split by Binomial.
+  // count / n = 200: table-drawn columns split by Binomial (n = 512 holds
+  // the ~330-entry table); by level, the heavy singletons are past the
+  // table limit and the tail levels draw from tables.
   ExpectMultinomialMoments(HeavyHeadPmf(64), 200 * 64, 4, 103);
+  ExpectMultinomialMoments(ManyValuedPmf(512), 200 * 512, 4, 123);
 }
 
 TEST(AddCountsTest, MultinomialBinomialSplitLargeColumns) {
-  // count / n = 1250: columns past the table limit (Rng::Poisson).
+  // count / n = 1250: columns past the table limit (Rng::Poisson); by
+  // level, every level is past it.
   ExpectMultinomialMoments(HeavyHeadPmf(16), 1250 * 16, 4, 104);
+  ExpectMultinomialMoments(ManyValuedPmf(256), 1250 * 256, 4, 124);
 }
 
 TEST(AddCountsTest, MultinomialUniformPmf) {
-  // Every prob_ is 1: no column splits at all.
-  AliasSampler sampler(Distribution::UniformOver(256));
-  for (double p : sampler.prob()) ASSERT_EQ(p, 1.0);
-  ExpectMultinomialMoments(Distribution::UniformOver(256), 3000, 3, 105);
+  // One level holding every element: one Poisson sampler serves the whole
+  // pass (a table of ~30 entries for 256 elements).
+  const auto dist = Distribution::UniformOver(256);
+  ASSERT_EQ(AliasSampler(dist).levels(), 1u);
+  ExpectMultinomialMoments(dist, 3000, 3, 105);
+}
+
+TEST(AddCountsTest, MultinomialLevelPastTheTableLimit) {
+  // A 1000-element level whose per-element mean (~1960) is past the table
+  // limit, beside a light level that draws from a table and mass-0
+  // elements that draw nothing.
+  std::vector<double> w(3000, 0.0);
+  for (size_t i = 0; i < 1000; ++i) w[3 * i] = 1.0;
+  for (size_t i = 0; i < 1000; ++i) w[3 * i + 1] = 0.001;
+  const auto dist = Distribution::FromWeights(w).value();
+  ASSERT_EQ(AliasSampler(dist).levels(), 2u);
+  ExpectMultinomialMoments(dist, 2000000, 4, 125, 2000);
+}
+
+/// A point mass at `at`, and, when `dusted`, every other element holds a
+/// distinct mass near 1e-300: the per-element alias table, where every other
+/// column aliases the mass and no draw in any test lands elsewhere.
+Distribution PointMassPmf(size_t n, size_t at, bool dusted) {
+  if (!dusted) return Distribution::PointMass(n, at);
+  std::vector<double> w(n);
+  for (size_t i = 0; i < n; ++i) {
+    w[i] = i == at ? 1.0 : 1e-300 * static_cast<double>(i + 1);
+  }
+  return Distribution::FromWeights(w).value();
 }
 
 TEST(AddCountsTest, PointMassGetsEveryCount) {
-  // Every other column aliases the mass. Above one block the mass sits in
-  // the ragged last block, so the other blocks reach it only through the
-  // scatter of their parked counts.
-  for (const auto& [n, at] : {std::pair<size_t, size_t>{500, 123},
-                              std::pair<size_t, size_t>{kMultiBlockN,
-                                                        kMultiBlockN - 2}}) {
-    AliasSampler sampler(Distribution::PointMass(n, at));
-    Rng rng(106);
-    for (const int64_t count :
-         {int64_t{63}, int64_t{5000}, int64_t{2000000}}) {
-      std::vector<int64_t> counts(n, 0);
-      sampler.AddCounts(rng, count, counts.data());
-      for (size_t i = 0; i < counts.size(); ++i) {
-        ASSERT_EQ(counts[i], i == at ? count : 0) << "n " << n << " i " << i;
+  // A single level, and a per-element table where every other column
+  // aliases the mass. Above one block the mass sits in the ragged last
+  // block, so with the per-element table the other blocks reach it only
+  // through the scatter of their parked counts.
+  for (const bool dusted : {false, true}) {
+    for (const auto& [n, at] :
+         {std::pair<size_t, size_t>{500, 123},
+          std::pair<size_t, size_t>{kMultiBlockN, kMultiBlockN - 2}}) {
+      AliasSampler sampler(PointMassPmf(n, at, dusted));
+      ASSERT_EQ(sampler.levels(), dusted ? 0u : 1u);
+      Rng rng(106);
+      for (const int64_t count :
+           {int64_t{63}, int64_t{5000}, int64_t{2000000}}) {
+        std::vector<int64_t> counts(n, 0);
+        sampler.AddCounts(rng, count, counts.data());
+        for (size_t i = 0; i < counts.size(); ++i) {
+          ASSERT_EQ(counts[i], i == at ? count : 0)
+              << "n " << n << " i " << i << " dusted " << dusted;
+        }
       }
     }
   }
@@ -349,36 +427,39 @@ TEST(AddCountsTest, BlocksRunInlineGiveTheSameVector) {
   // A multi-block draw must not depend on which executors run its blocks.
   // The top-level draws spread their eight blocks over the pool; the inner
   // draw runs inside a ParallelFor job while every other job holds a pool
-  // worker, so all of its blocks run inline on one thread.
-  const auto dist = HeavyHeadPmf(8 * AliasSampler::kColumnBlock + 3);
-  AliasSampler sampler(dist);
-  const int64_t count = 20 * static_cast<int64_t>(dist.size());
-  std::vector<std::vector<int64_t>> tops;
-  uint64_t top_next = 0;
-  for (int round = 0; round < 3; ++round) {
-    Rng top_rng(113);
-    tops.emplace_back(dist.size(), 0);
-    sampler.AddCounts(top_rng, count, tops.back().data());
-    top_next = top_rng.Next();
-  }
-  std::vector<int64_t> inner(dist.size(), 0);
-  const int executors = ThreadPool::Shared().size() + 1;
-  std::atomic<int> started{0};
-  std::atomic<bool> drawn{false};
-  uint64_t inner_next = 0;
-  ParallelFor(executors, executors, [&](int64_t) {
-    if (started.fetch_add(1) == 0) {
-      while (started.load() < executors) std::this_thread::yield();
-      Rng inner_rng(113);
-      sampler.AddCounts(inner_rng, count, inner.data());
-      inner_next = inner_rng.Next();
-      drawn.store(true);
-    } else {
-      while (!drawn.load()) std::this_thread::yield();
+  // worker, so all of its blocks run inline on one thread. Both the level
+  // pass and the per-element column pass.
+  constexpr size_t kN = 8 * AliasSampler::kColumnBlock + 3;
+  for (const Distribution& dist : {HeavyHeadPmf(kN), ManyValuedPmf(kN)}) {
+    AliasSampler sampler(dist);
+    const int64_t count = 20 * static_cast<int64_t>(dist.size());
+    std::vector<std::vector<int64_t>> tops;
+    uint64_t top_next = 0;
+    for (int round = 0; round < 3; ++round) {
+      Rng top_rng(113);
+      tops.emplace_back(dist.size(), 0);
+      sampler.AddCounts(top_rng, count, tops.back().data());
+      top_next = top_rng.Next();
     }
-  });
-  for (const auto& top : tops) EXPECT_EQ(top, inner);
-  EXPECT_EQ(top_next, inner_next);  // both streams end in one place
+    std::vector<int64_t> inner(dist.size(), 0);
+    const int executors = ThreadPool::Shared().size() + 1;
+    std::atomic<int> started{0};
+    std::atomic<bool> drawn{false};
+    uint64_t inner_next = 0;
+    ParallelFor(executors, executors, [&](int64_t) {
+      if (started.fetch_add(1) == 0) {
+        while (started.load() < executors) std::this_thread::yield();
+        Rng inner_rng(113);
+        sampler.AddCounts(inner_rng, count, inner.data());
+        inner_next = inner_rng.Next();
+        drawn.store(true);
+      } else {
+        while (!drawn.load()) std::this_thread::yield();
+      }
+    });
+    for (const auto& top : tops) EXPECT_EQ(top, inner);
+    EXPECT_EQ(top_next, inner_next);  // both streams end in one place
+  }
 }
 
 /// Two-sample chi-square of the values two samplers give one element:
@@ -408,10 +489,14 @@ double TwoSampleChiSquare(const std::vector<int64_t>& a,
 
 TEST(AddCountsTest, MarginalsMatchTheSampleStream) {
   // Per-element marginals of the count-level draw against counts built
-  // one alias sample at a time, for heavy, middling and light elements.
-  for (const auto& [n, count] : {std::pair<size_t, int64_t>{1024, 200},
-                                 std::pair<size_t, int64_t>{64, 1280}}) {
-    const auto dist = HeavyHeadPmf(n);
+  // one sample at a time, for heavy, middling and light elements, stored
+  // by level and per element.
+  for (const auto& [dist, count] :
+       {std::pair<Distribution, int64_t>{HeavyHeadPmf(1024), 200},
+        std::pair<Distribution, int64_t>{HeavyHeadPmf(64), 1280},
+        std::pair<Distribution, int64_t>{ManyValuedPmf(1024), 200},
+        std::pair<Distribution, int64_t>{ManyValuedPmf(256), 5120}}) {
+    const size_t n = dist.size();
     AliasSampler sampler(dist);
     Rng count_rng(108), stream_rng(109);
     const int reps = 5000;

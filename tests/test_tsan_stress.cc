@@ -189,15 +189,24 @@ TEST(TsanStressTest, EstimateAcceptanceParallelConcurrentCallers) {
 }
 
 TEST(TsanStressTest, DenseDrawCountsShareOneAliasTable) {
-  // Dense DrawCounts reads the shared alias table from every oracle at
-  // once (the count-level path keeps all of its state per call). Each
-  // thread must get exactly what a lone oracle with its seed gets. At
-  // n = 2^16 each draw runs its column blocks on the shared pool, so the
-  // two callers' nested pool runs share its workers.
-  for (const auto& [n, rounds] : {std::pair<int64_t, int>{4096, 10},
-                                  std::pair<int64_t, int>{1 << 16, 3}}) {
-    const auto shared = std::make_shared<const AliasSampler>(
-        MakeZipf(static_cast<size_t>(n), 1.0).value());
+  // Dense DrawCounts reads the shared sampler from every oracle at once
+  // (the count-level path keeps all of its state per call). Each thread
+  // must get exactly what a lone oracle with its seed gets. At n = 2^16
+  // each draw runs its blocks on the shared pool, so the two callers'
+  // nested pool runs share its workers. Zipf has the per-element alias
+  // table (column pass); the k-histogram is stored by level (level pass).
+  Rng gen(70);
+  std::vector<std::pair<Distribution, int>> cases;
+  for (const auto& [n, rounds] : {std::pair<size_t, int>{4096, 10},
+                                  std::pair<size_t, int>{1 << 16, 3}}) {
+    cases.emplace_back(MakeZipf(n, 1.0).value(), rounds);
+    cases.emplace_back(
+        MakeRandomKHistogram(n, 8, gen).value().ToDistribution().value(),
+        rounds);
+  }
+  for (const auto& [dist, rounds] : cases) {
+    const auto n = static_cast<int64_t>(dist.size());
+    const auto shared = std::make_shared<const AliasSampler>(dist);
     const std::vector<int64_t> counts = {n / 8, 6 * n, 20 * n};
     const auto draw_all = [&](uint64_t seed) {
       DistributionOracle oracle(shared, seed);
