@@ -136,9 +136,10 @@ Result<HistogramTestReport> RunAlgorithm1(SampleOracle& oracle,
 
   // Every stage's budget must be countable before the first draw: they grow
   // like 1/eps^2, so a tiny eps pushes them past int64. ApproxPart's K, which
-  // sizes the learner's, is at most n and at most two intervals per sample.
+  // sizes the learner's, is at most n and at most two intervals per sample
+  // it draws, plus one.
   const double m_approx = ApproxPartSampleBudget(b, opts.approx_part);
-  const double k_max = std::min(nd, 2.0 * m_approx + 1.0);
+  const double k_max = std::min(nd, 2.0 * std::ceil(m_approx) + 1.0);
   for (const double m :
        {m_approx, LearnerSampleBudget(k_max, eps_learn, opts.learner),
         SieveSampleBudget(n, eps, opts.sieve), m_final}) {

@@ -166,27 +166,6 @@ void ResolveAlias(const double* prob, const size_t* alias,
   }
 }
 
-/// SampleBatch's table pass by level: the level alias select as in
-/// ResolveAlias, then member bits[i] of the level by UniformInt's
-/// multiply-shift. Returns the first i whose member draw needs UniformInt's
-/// rejection step (probability below size / 2^64), or `count`.
-int64_t ResolveLevels(const double* prob, const size_t* alias,
-                      const size_t* level_begin, const uint32_t* members,
-                      const uint64_t* cols, const double* us,
-                      const uint64_t* bits, size_t* out, int64_t count) {
-  for (int64_t i = 0; i < count; ++i) {
-    const size_t column = static_cast<size_t>(cols[i]);
-    const size_t keep = size_t{0} - static_cast<size_t>(us[i] < prob[column]);
-    const size_t level = (column & keep) | (alias[column] & ~keep);
-    const uint64_t size = level_begin[level + 1] - level_begin[level];
-    const __uint128_t scaled = static_cast<__uint128_t>(bits[i]) * size;
-    const uint64_t low = static_cast<uint64_t>(scaled);
-    if (low < size && low < (0 - size) % size) return i;
-    out[i] = members[level_begin[level] + static_cast<size_t>(scaled >> 64)];
-  }
-  return count;
-}
-
 /// Vose's stable alias construction over `weights`, which sum to 1.
 void BuildAliasTable(const std::vector<double>& weights,
                      std::vector<double>& prob, std::vector<size_t>& alias) {
@@ -321,6 +300,10 @@ size_t AliasSampler::Sample(Rng& rng) const {
 }
 
 void AliasSampler::SampleBatch(Rng& rng, size_t* out, int64_t count) const {
+  if (!members_.empty()) {
+    for (int64_t i = 0; i < count; ++i) out[i] = Sample(rng);
+    return;
+  }
   // Identical arithmetic to Sample(), restructured into two passes per
   // chunk: first the pure-RNG pass (inline xoshiro, no memory traffic),
   // then the table-resolution pass, which makes the same `u < prob[col]`
@@ -331,34 +314,10 @@ void AliasSampler::SampleBatch(Rng& rng, size_t* out, int64_t count) const {
   uint64_t cols[kChunk];
   double us[kChunk];
   int64_t done = 0;
-  if (members_.empty()) {
-    while (done < count) {
-      const int64_t c = std::min(count - done, kChunk);
-      rng.FillPairs(columns, cols, us, c);
-      ResolveAlias(prob_.data(), alias_.data(), cols, us, out + done, c);
-      done += c;
-    }
-    return;
-  }
-  // By level, the RNG pass also takes the 64 bits of each member draw.
-  uint64_t bits[kChunk];
   while (done < count) {
-    int64_t c = std::min(count - done, kChunk);
-    const Rng chunk_start = rng;
-    for (int64_t i = 0; i < c; ++i) {
-      rng.FillPairs(columns, cols + i, us + i, 1);
-      bits[i] = rng.Next();
-    }
-    const int64_t resolved =
-        ResolveLevels(prob_.data(), alias_.data(), level_begin_.data(),
-                      members_.data(), cols, us, bits, out + done, c);
-    if (resolved < c) {
-      // Member draw `resolved` takes more bits than the RNG pass gave it:
-      // replay the chunk up to and including it with Sample().
-      rng = chunk_start;
-      for (int64_t i = 0; i <= resolved; ++i) out[done + i] = Sample(rng);
-      c = resolved + 1;
-    }
+    const int64_t c = std::min(count - done, kChunk);
+    rng.FillPairs(columns, cols, us, c);
+    ResolveAlias(prob_.data(), alias_.data(), cols, us, out + done, c);
     done += c;
   }
 }

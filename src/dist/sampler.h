@@ -46,8 +46,9 @@ class AliasSampler {
   /// method over the levels), then a uniform member of that level.
   size_t Sample(Rng& rng) const;
 
-  /// Draws `count` samples into `out` with one tight loop (no per-sample
-  /// call overhead). Stream-identical to `count` repeated Sample() calls.
+  /// Draws `count` samples into `out`. Stream-identical to `count` repeated
+  /// Sample() calls, which is what it makes when stored by level; the
+  /// per-element table is resolved in chunks, an RNG pass then a table pass.
   void SampleBatch(Rng& rng, size_t* out, int64_t count) const;
 
   /// Draws `count` samples.

@@ -64,6 +64,23 @@ TEST(HistogramTesterTest, HostileParametersAreInvalidArgument) {
   expect_invalid(100, std::nan(""), 1.0);
 }
 
+TEST(HistogramTesterTest, LearnerBudgetIsCheckedAtApproxPartsRoundedDraws) {
+  // ApproxPart's budget rounds up to one sample, which may split the domain
+  // into three intervals; at K = 3 the learner's budget is past 2^63, at
+  // the unrounded budget's 2 m + 1 (about 1) it would look countable.
+  HistogramTesterOptions options;
+  options.approx_part.sample_constant = 1e-4;
+  options.learner.sample_constant = 6e15;
+  options.sieve.sample_constant = 1e-4;
+  options.final_test.sample_constant = 1e-4;
+  DistributionOracle oracle(Distribution::UniformOver(64), 3);
+  HistogramTester tester(2, 0.5, options, 5);
+  auto outcome = tester.Test(oracle);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(oracle.SamplesDrawn(), 0);
+}
+
 TEST(HistogramTesterTest, IntegrationCompletenessOnWorkloadGrid) {
   Rng rng(7);
   auto grid = MakeWorkloadGrid(1024, 4, 0.25, rng);
