@@ -148,8 +148,8 @@ int64_t RunBlocks(Rng& rng, size_t n, const Pass& pass) {
 /// alias[cols[i]], the comparison Sample() makes. The (column, alias) cache
 /// lines are prefetched a few iterations ahead: for tables beyond the L2
 /// cache this pass is latency-bound. The select is a mask, not a branch:
-/// on k-histogram tables prob[column] sits mid-range, so a branch on the
-/// comparison mispredicts about every other sample.
+/// where prob[column] sits mid-range, a branch on the comparison
+/// mispredicts about every other sample.
 void ResolveAlias(const double* prob, const size_t* alias,
                   const uint64_t* cols, const double* us, size_t* out,
                   int64_t count) {
