@@ -70,7 +70,9 @@ Result<Distribution> Distribution::Create(std::vector<double> pmf) {
     }
   }
   const double total = SumOf(pmf);
-  if (std::fabs(total - 1.0) > kMassTolerance) {
+  // Finite entries can still sum past DBL_MAX, and a NaN total passes any
+  // comparison.
+  if (!std::isfinite(total) || std::fabs(total - 1.0) > kMassTolerance) {
     return Status::InvalidArgument("pmf must sum to 1 (got " +
                                    std::to_string(total) + ")");
   }
@@ -88,8 +90,8 @@ Result<Distribution> Distribution::FromWeights(std::vector<double> weights) {
     }
   }
   const double total = SumOf(weights);
-  if (total <= 0.0) {
-    return Status::InvalidArgument("weights must have positive total");
+  if (!std::isfinite(total) || total <= 0.0) {
+    return Status::InvalidArgument("weights must have a finite positive total");
   }
   for (double& w : weights) w /= total;
   return Distribution(std::move(weights));

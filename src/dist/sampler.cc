@@ -15,6 +15,17 @@ namespace {
 /// Level of an element of mass 0: it takes no draws.
 constexpr uint8_t kNoLevel = AliasSampler::kMaxLevels;
 
+/// Runs call(copy) on a copy of `rng` and writes the copy back. The passes
+/// below keep their Rng in registers only if its address never reaches an
+/// out-of-line call, such as Rng::Poisson or Rng::Binomial.
+template <typename Call>
+int64_t OnCopy(Rng& rng, const Call& call) {
+  Rng copy = rng;
+  const int64_t x = call(copy);
+  rng = copy;
+  return x;
+}
+
 /// Poisson(mean) draws for one of AddCounts' samplers, which serves
 /// `elements` draws per pass. With a table of at most `elements` entries it
 /// is inversion through a cumulative table with a guide table, one uniform
@@ -53,7 +64,9 @@ class ColumnPoisson {
   }
 
   int64_t Draw(Rng& rng) const {
-    if (guide_.empty()) return rng.Poisson(mean_);
+    if (guide_.empty()) {
+      return OnCopy(rng, [&](Rng& r) { return r.Poisson(mean_); });
+    }
     const double u = rng.UniformDouble();
     uint32_t k =
         guide_[static_cast<size_t>(u * static_cast<double>(guide_.size()))];
@@ -70,7 +83,7 @@ class ColumnPoisson {
 /// How many of a column's c draws keep the column (alias coin u < prob).
 int64_t SplitColumn(Rng& rng, int64_t c, double prob) {
   if (prob >= 1.0) return c;
-  if (c > 32) return rng.Binomial(c, prob);
+  if (c > 32) return OnCopy(rng, [&](Rng& r) { return r.Binomial(c, prob); });
   // UniformDouble() < prob, as an integer test: the uniform is k * 2^-53
   // for the top 53 bits k of Next(), and prob * 2^53 is exact.
   const uint64_t below = static_cast<uint64_t>(std::ceil(prob * 0x1.0p53));
@@ -83,17 +96,22 @@ int64_t SplitColumn(Rng& rng, int64_t c, double prob) {
 /// of draws and keeps its stay count in counts[j]. The leave count goes to
 /// counts[alias[j]], or, with `parked`, into parked[j] for a later serial
 /// scatter (a block's alias targets may lie in other blocks). Returns the
-/// pass's draw total.
+/// pass's draw total. The pass draws on a local copy of `rng` that stays in
+/// registers (OnCopy) and is written back once at the end: `counts` may
+/// alias the generator's uint64_t state, so drawing through the reference
+/// would store the state back after every count write, and a block's Rng
+/// shares a cache line with its neighbours' (RunBlocks).
 int64_t DrawColumns(Rng& rng, const ColumnPoisson& column, const double* prob,
                     const size_t* alias, size_t begin, size_t end,
                     int64_t* counts, uint32_t* parked) {
   if (parked != nullptr) std::fill(parked + begin, parked + end, 0u);
+  Rng local = rng;
   int64_t drawn = 0;
   for (size_t j = begin; j < end; ++j) {
-    const int64_t draws = column.Draw(rng);
+    const int64_t draws = column.Draw(local);
     if (draws == 0) continue;
     drawn += draws;
-    const int64_t stay = SplitColumn(rng, draws, prob[j]);
+    const int64_t stay = SplitColumn(local, draws, prob[j]);
     counts[j] += stay;
     if (parked == nullptr) {
       counts[alias[j]] += draws - stay;
@@ -102,21 +120,25 @@ int64_t DrawColumns(Rng& rng, const ColumnPoisson& column, const double* prob,
       parked[j] = static_cast<uint32_t>(draws - stay);
     }
   }
+  rng = local;
   return drawn;
 }
 
 /// One level pass over elements [begin, end): element j takes a draw from
-/// its level's sampler. Returns the pass's draw total.
+/// its level's sampler. Returns the pass's draw total. Runs on a local copy
+/// of `rng`, as DrawColumns does.
 int64_t DrawLevels(Rng& rng, const ColumnPoisson* poisson,
                    const uint8_t* level, size_t begin, size_t end,
                    int64_t* counts) {
+  Rng local = rng;
   int64_t drawn = 0;
   for (size_t j = begin; j < end; ++j) {
     if (level[j] == kNoLevel) continue;
-    const int64_t draws = poisson[level[j]].Draw(rng);
+    const int64_t draws = poisson[level[j]].Draw(local);
     counts[j] += draws;
     drawn += draws;
   }
+  rng = local;
   return drawn;
 }
 
@@ -286,6 +308,14 @@ bool AliasSampler::BuildLevels(const std::vector<double>& weights) {
                 static_cast<double>(level_begin_[l + 1] - level_begin_[l]);
   }
   BuildAliasTable(masses, prob_, alias_);
+  // Level l's share of the mass of levels l and up, for AddLevelDraws; the
+  // last level's is 1.
+  level_split_.resize(num_levels);
+  KahanSum suffix;
+  for (size_t l = num_levels; l-- > 0;) {
+    suffix.Add(masses[l]);
+    level_split_[l] = std::min(1.0, masses[l] / suffix.Total());
+  }
   return true;
 }
 
@@ -358,6 +388,10 @@ void AliasSampler::AddCounts(Rng& rng, int64_t count,
     });
     for (size_t j = 0; j < parked.size(); ++j) counts[alias_[j]] += parked[j];
   }
+  if (!members_.empty()) {
+    AddLevelDraws(rng, count - drawn, counts);
+    return;
+  }
   constexpr int64_t kChunk = 1024;
   size_t buffer[kChunk];
   while (drawn < count) {
@@ -365,6 +399,22 @@ void AliasSampler::AddCounts(Rng& rng, int64_t count,
     SampleBatch(rng, buffer, c);
     for (int64_t i = 0; i < c; ++i) ++counts[buffer[i]];
     drawn += c;
+  }
+}
+
+void AliasSampler::AddLevelDraws(Rng& rng, int64_t count,
+                                 int64_t* counts) const {
+  // Multinomial(count, level masses) as a chain of binomials, each level
+  // taking its share of what the levels before it left; then one uniform
+  // member per draw.
+  for (size_t l = 0; l < level_split_.size() && count > 0; ++l) {
+    const int64_t take = rng.Binomial(count, level_split_[l]);
+    count -= take;
+    const size_t begin = level_begin_[l];
+    const uint64_t size = level_begin_[l + 1] - begin;
+    for (int64_t i = 0; i < take; ++i) {
+      ++counts[members_[begin + static_cast<size_t>(rng.UniformInt(size))]];
+    }
   }
 }
 

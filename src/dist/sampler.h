@@ -22,8 +22,12 @@ namespace histest {
 /// bytes per element.
 class AliasSampler {
  public:
-  /// Columns (elements) per block of a multi-block AddCounts pass.
-  static constexpr size_t kColumnBlock = size_t{1} << 14;
+  /// Columns (elements) per block of a multi-block AddCounts pass. A block
+  /// of the sieve's level pass (m/n about 19) then carries about 50-80 us
+  /// of draws, more than a pool dispatch costs, so a domain of 2^14 runs
+  /// as four blocks; one of 2^10 stays one block (DESIGN.md, "Column
+  /// blocks").
+  static constexpr size_t kColumnBlock = size_t{1} << 12;
 
   /// Most distinct positive pmf values a pmf stored by level may have.
   static constexpr size_t kMaxLevels = 255;
@@ -63,9 +67,12 @@ class AliasSampler {
   /// Otherwise each alias column takes a Poisson(mu / size()) number of
   /// draws, split between the column and its alias by the alias coin.
   /// Either way, given the pass total s <= count the vector is
-  /// Multinomial(s, pmf), and count - s SampleBatch draws top it up (a pass
-  /// with s > count is cleared and redrawn). Not stream-identical to
-  /// SampleBatch; deterministic for a given Rng state.
+  /// Multinomial(s, pmf), and count - s more draws top it up (a pass with
+  /// s > count is cleared and redrawn). Stored by level, the top-up is one
+  /// Multinomial(count - s) over the levels, a Binomial per level on its
+  /// share of the mass left, then a uniform member per draw; otherwise it
+  /// is count - s SampleBatch draws. Not stream-identical to SampleBatch;
+  /// deterministic for a given Rng state.
   ///
   /// Elements are independent in the pass (Poissonization), so a domain
   /// wider than kColumnBlock is drawn in blocks of kColumnBlock elements on
@@ -79,6 +86,8 @@ class AliasSampler {
  private:
   void Build(const std::vector<double>& weights);
   bool BuildLevels(const std::vector<double>& weights);
+  // Adds the counts of `count` draws from a pmf stored by level.
+  void AddLevelDraws(Rng& rng, int64_t count, int64_t* counts) const;
 
   size_t size_ = 0;
   // Alias table over the columns: the elements, or the levels when the pmf
@@ -92,6 +101,8 @@ class AliasSampler {
   std::vector<double> level_value_;
   std::vector<size_t> level_begin_;
   std::vector<uint32_t> members_;
+  // level_split_[l] is level l's share of the mass of levels l and up.
+  std::vector<double> level_split_;
 };
 
 /// Sampler for a succinct piecewise-constant distribution: chooses a piece

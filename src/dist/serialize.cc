@@ -1,6 +1,7 @@
 #include "dist/serialize.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -115,8 +116,17 @@ Result<PiecewiseConstant> ParsePiecewise(const std::string& text) {
   if (in >> trailing) {
     return Status::InvalidArgument("unexpected trailing content: " + trailing);
   }
-  return PiecewiseConstant::Create(static_cast<size_t>(n.value()),
-                                   std::move(pieces));
+  auto pwc = PiecewiseConstant::Create(static_cast<size_t>(n.value()),
+                                       std::move(pieces));
+  HISTEST_RETURN_IF_ERROR(pwc.status());
+  // A sampler normalizes by the total mass, so it must be finite and
+  // positive (a sum of finite masses can still overflow).
+  const double mass = pwc.value().TotalMass();
+  if (!std::isfinite(mass) || mass <= 0.0) {
+    return Status::InvalidArgument(
+        "piecewise function needs a finite positive total mass");
+  }
+  return pwc;
 }
 
 Status WriteTextFile(const std::string& path, const std::string& contents) {

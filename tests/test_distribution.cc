@@ -26,6 +26,18 @@ TEST(DistributionTest, CreateRejectsBadInput) {
           .ok());
 }
 
+TEST(DistributionTest, RejectsATotalThatOverflows) {
+  // Finite entries whose sum passes DBL_MAX: the total is not finite, and a
+  // NaN total would pass both factories' comparisons.
+  const std::vector<double> huge = {1e308, 1e308};
+  EXPECT_EQ(Distribution::Create(huge).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Distribution::FromWeights(huge).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Distribution::FromWeights({1e308, 1e308, 1.0}).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(DistributionTest, CreateRenormalizesWithinTolerance) {
   auto d = Distribution::Create({0.5, 0.5 + 1e-9});
   ASSERT_TRUE(d.ok());

@@ -373,6 +373,21 @@ TEST(AddCountsTest, MultinomialLevelPastTheTableLimit) {
   ExpectMultinomialMoments(dist, 2000000, 4, 125, 2000);
 }
 
+TEST(AddCountsTest, MultinomialAllFromTheLevelTopUp) {
+  // count <= 9 puts the pass mean count - 3 sqrt(count) at or below 0, so
+  // the whole vector is the by-level top-up: a binomial per level, then a
+  // uniform member per draw. Two singleton levels lead, beside mass-0
+  // elements and a level of four.
+  std::vector<double> w = {0.4, 0.0, 0.25, 0.0, 0.0};
+  for (int i = 0; i < 4; ++i) w.push_back(0.0875);
+  w.push_back(0.0);
+  const auto dist = Distribution::Create(w).value();
+  ASSERT_EQ(AliasSampler(dist).levels(), 3u);
+  for (const int64_t count : {int64_t{1}, int64_t{9}}) {
+    ExpectMultinomialMoments(dist, count, 6, 126 + count);
+  }
+}
+
 /// A point mass at `at`, and, when `dusted`, every other element holds a
 /// distinct mass near 1e-300: the per-element alias table, where every other
 /// column aliases the mass and no draw in any test lands elsewhere.
@@ -411,15 +426,19 @@ TEST(AddCountsTest, PointMassGetsEveryCount) {
 }
 
 TEST(AddCountsTest, SameSeedSameVector) {
-  const auto dist = HeavyHeadPmf(4096);
-  AliasSampler sampler(dist);
-  for (const int64_t count : {int64_t{600}, int64_t{80000}, int64_t{9000000}}) {
-    Rng a(107), b(107);
-    std::vector<int64_t> ca(dist.size(), 0), cb(dist.size(), 0);
-    sampler.AddCounts(a, count, ca.data());
-    sampler.AddCounts(b, count, cb.data());
-    EXPECT_EQ(ca, cb) << count;
-    EXPECT_EQ(a.Next(), b.Next());  // and both streams end in one place
+  // One block, and several with a ragged last one.
+  for (const size_t n : {size_t{4096}, 3 * AliasSampler::kColumnBlock + 5}) {
+    const auto dist = HeavyHeadPmf(n);
+    AliasSampler sampler(dist);
+    for (const int64_t count :
+         {int64_t{600}, int64_t{80000}, int64_t{9000000}}) {
+      Rng a(107), b(107);
+      std::vector<int64_t> ca(dist.size(), 0), cb(dist.size(), 0);
+      sampler.AddCounts(a, count, ca.data());
+      sampler.AddCounts(b, count, cb.data());
+      EXPECT_EQ(ca, cb) << n << " " << count;
+      EXPECT_EQ(a.Next(), b.Next());  // and both streams end in one place
+    }
   }
 }
 

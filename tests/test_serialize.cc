@@ -33,6 +33,11 @@ TEST(SerializeDistributionTest, RejectsMalformedInput) {
       ParseDistribution("histest-dist v1\nn 2\n0.5 0.5 extra\n").ok());
   // Valid structure but not a distribution (sums to 0.9).
   EXPECT_FALSE(ParseDistribution("histest-dist v1\nn 2\n0.5 0.4\n").ok());
+  // Finite probabilities whose sum overflows.
+  EXPECT_EQ(ParseDistribution("histest-dist v1\nn 2\n1e308 1e308\n")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SerializePiecewiseTest, RoundTripExact) {
@@ -59,6 +64,21 @@ TEST(SerializePiecewiseTest, RejectsMalformedInput) {
   // Trailing garbage.
   EXPECT_FALSE(
       ParsePiecewise("histest-pwc v1\nn 4 pieces 1\n4 0.25\njunk\n").ok());
+}
+
+TEST(SerializePiecewiseTest, RejectsNoUsableMass) {
+  // Zero total mass, and a total (value times size) that overflows: neither
+  // can be normalized into a sampler.
+  for (const char* text : {"histest-pwc v1\nn 4 pieces 1\n4 0\n",
+                           "histest-pwc v1\nn 4 pieces 1\n4 1e308\n",
+                           "histest-pwc v1\nn 4 pieces 2\n2 0\n4 0\n"}) {
+    EXPECT_EQ(ParsePiecewise(text).status().code(),
+              StatusCode::kInvalidArgument)
+        << text;
+  }
+  // A sub-probability function with positive mass still parses.
+  EXPECT_TRUE(ParsePiecewise("histest-pwc v1\nn 4 pieces 2\n2 0\n4 0.1\n")
+                  .ok());
 }
 
 TEST(SerializeFileTest, WriteReadRoundTrip) {

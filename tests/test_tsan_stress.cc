@@ -191,14 +191,17 @@ TEST(TsanStressTest, EstimateAcceptanceParallelConcurrentCallers) {
 TEST(TsanStressTest, DenseDrawCountsShareOneAliasTable) {
   // Dense DrawCounts reads the shared sampler from every oracle at once
   // (the count-level path keeps all of its state per call). Each thread
-  // must get exactly what a lone oracle with its seed gets. At n = 2^16
-  // each draw runs its blocks on the shared pool, so the two callers'
-  // nested pool runs share its workers. Zipf has the per-element alias
-  // table (column pass); the k-histogram is stored by level (level pass).
+  // must get exactly what a lone oracle with its seed gets. Above one
+  // block (n = 3 blocks + 5, and 2^16) each draw runs its blocks on the
+  // shared pool, so the two callers' nested pool runs share its workers.
+  // Zipf has the per-element alias table (column pass); the k-histogram is
+  // stored by level (level pass).
   Rng gen(70);
   std::vector<std::pair<Distribution, int>> cases;
-  for (const auto& [n, rounds] : {std::pair<size_t, int>{4096, 10},
-                                  std::pair<size_t, int>{1 << 16, 3}}) {
+  for (const auto& [n, rounds] :
+       {std::pair<size_t, int>{4096, 10},
+        std::pair<size_t, int>{3 * AliasSampler::kColumnBlock + 5, 5},
+        std::pair<size_t, int>{1 << 16, 3}}) {
     cases.emplace_back(MakeZipf(n, 1.0).value(), rounds);
     cases.emplace_back(
         MakeRandomKHistogram(n, 8, gen).value().ToDistribution().value(),
