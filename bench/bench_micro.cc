@@ -135,6 +135,24 @@ BENCHMARK(BM_OracleCountsKHist)
     ->Apply(OracleCountsArgs)
     ->Unit(benchmark::kMillisecond);
 
+/// Sparse DrawCounts as ApproxPart runs it on `wide-domain`: m = 24,446
+/// draws over n = 2^18 from a level pmf, then one ForEachNonZero walk, so
+/// the row covers the draws, the buffer's compactions and the final merge.
+/// Outside the CI filter: supporting evidence, not a gated row.
+void BM_SparseDrawCounts(benchmark::State& state) {
+  const size_t n = size_t{1} << 18;
+  const int64_t count = state.range(0);
+  DistributionOracle oracle(KHistogramPmf(n), 53);
+  for (auto _ : state) {
+    const CountVector cv = oracle.DrawCounts(count);
+    int64_t distinct = 0;
+    cv.ForEachNonZero([&](size_t, int64_t) { ++distinct; });
+    benchmark::DoNotOptimize(distinct);
+  }
+  state.SetItemsProcessed(state.iterations() * count);
+}
+BENCHMARK(BM_SparseDrawCounts)->Arg(24446)->Unit(benchmark::kMillisecond);
+
 /// The E1 workload at tester scale: k=5 in-class random histograms, the
 /// acceptance harness run for a fixed trial count over one shared alias
 /// table. Reported counter: trials per second.

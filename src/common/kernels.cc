@@ -164,6 +164,23 @@ double FusedCountsZKernel(const double* dstar, const int64_t* counts,
   });
 }
 
+void FusedCountsZPartials(const double* dstar, const int64_t* counts,
+                          size_t n, double m, double aeps_cut, size_t first,
+                          size_t last, double* partials) {
+  if (first == 0) obs::AddCount(obs::names::kKernelFusedCountsZCalls, 1);
+  for (size_t b = first; b < last; ++b) {
+    // BlockedReduce over one block is that block's partial after one
+    // compensated add to a zero accumulator, which no later KahanSum can
+    // tell from the partial itself.
+    const size_t base = b * kKernelBlock;
+    partials[b - first] =
+        BlockedReduce(std::min(kKernelBlock, n - base), [&](size_t i) {
+          return ZTerm(dstar[base + i], static_cast<double>(counts[base + i]),
+                       m, aeps_cut);
+        });
+  }
+}
+
 double FusedCountsChiSquareKernel(const int64_t* counts, double inv_total,
                                   const double* q, size_t n) {
   obs::AddCount(obs::names::kKernelFusedCountsChiSquareCalls, 1);

@@ -83,6 +83,17 @@ double FusedExpandL2Kernel(const double* values, const size_t* ends,
 double FusedCountsZKernel(const double* dstar, const int64_t* counts,
                           size_t n, double m, double aeps_cut);
 
+/// FusedCountsZKernel cut at its block boundaries, so that one reduction
+/// can run on several threads: writes the partial of each block b in
+/// [first, last), elements [b * kKernelBlock, min(n, (b + 1) *
+/// kKernelBlock)), to partials[b - first]. Adding the partials of blocks
+/// 0, 1, ... to one KahanSum in block order gives FusedCountsZKernel(dstar,
+/// counts, n, m, aeps_cut) bit-for-bit. The piece with first == 0 counts
+/// the one FusedCountsZ call that the whole reduction stands for.
+void FusedCountsZPartials(const double* dstar, const int64_t* counts,
+                          size_t n, double m, double aeps_cut, size_t first,
+                          size_t last, double* partials);
+
 /// ChiSquareKernel with the empirical pmf formed on the fly:
 /// p[i] = (double)counts[i] * inv_total. Same q[i] <= 0 convention as
 /// ChiSquareKernel.

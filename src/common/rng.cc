@@ -105,7 +105,13 @@ int64_t Rng::Poisson(double mean) {
     const double v = UniformDouble();
     const double us = 0.5 - std::fabs(u);
     const double kf = std::floor((2.0 * a / us + b) * u + mean + 0.43);
-    if (us >= 0.07 && v <= v_r) return static_cast<int64_t>(kf);
+    if (us >= 0.07 && v <= v_r) {
+      // Never negative for a mean >= 10 on this branch; checked all the same,
+      // since dense DrawCounts adopts the counts drawn from here without
+      // re-reading them.
+      HISTEST_CHECK_GE(kf, 0.0);
+      return static_cast<int64_t>(kf);
+    }
     if (kf < 0.0 || (us < 0.013 && v > us)) continue;
     const double k = kf;
     if (std::log(v) + std::log(inv_alpha) - std::log(a / (us * us) + b) <=

@@ -2,14 +2,45 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "common/kernels.h"
 #include "common/math_util.h"
 
 namespace histest {
+
+namespace {
+
+/// Pending sparse observations a CountVector keeps before it compacts,
+/// unless it already holds more distinct elements than this.
+constexpr size_t kMinPending = 4096;
+
+/// Sorts `keys`, each below n, by an LSD radix sort on 11-bit digits: one
+/// counting pass per digit of n - 1 (two at n = 2^18, four at 2^40).
+void RadixSort(std::vector<size_t>& keys, size_t n) {
+  constexpr int kDigitBits = 11;
+  constexpr size_t kRadix = size_t{1} << kDigitBits;
+  const int passes =
+      (static_cast<int>(std::bit_width(n - 1)) + kDigitBits - 1) / kDigitBits;
+  std::vector<size_t> sorted(keys.size());
+  std::vector<size_t> offset(kRadix);
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = pass * kDigitBits;
+    const auto digit = [&](size_t k) { return (k >> shift) & (kRadix - 1); };
+    std::fill(offset.begin(), offset.end(), size_t{0});
+    for (const size_t k : keys) ++offset[digit(k)];
+    size_t next = 0;
+    for (size_t& o : offset) next += std::exchange(o, next);
+    for (const size_t k : keys) sorted[offset[digit(k)]++] = k;
+    keys.swap(sorted);
+  }
+}
+
+}  // namespace
 
 CountVector::CountVector(std::vector<int64_t> counts)
     : n_(counts.size()), total_(0), dense_(std::move(counts)) {
@@ -47,6 +78,16 @@ CountVector CountVector::FromCounts(std::vector<int64_t> counts) {
   return CountVector(std::move(counts));
 }
 
+CountVector CountVector::FromDrawnCounts(std::vector<int64_t> counts,
+                                         int64_t total) {
+  HISTEST_CHECK_GE(total, 0);
+  CountVector cv(size_t{0});
+  cv.n_ = counts.size();
+  cv.total_ = total;
+  cv.dense_ = std::move(counts);
+  return cv;
+}
+
 int64_t CountVector::operator[](size_t i) const {
   HISTEST_CHECK_LT(i, n_);
   if (!sparse_) return dense_[i];
@@ -69,8 +110,14 @@ void CountVector::Add(size_t i) {
     return;
   }
   pending_.push_back(i);
-  // Keep the buffer bounded so worst-case query latency stays small.
-  if (pending_.size() >= 4096) Compact();
+  CompactIfFull();
+}
+
+void CountVector::CompactIfFull() {
+  // The buffer may grow as large as the compacted arrays, so each
+  // compaction sorts at least as many new indices as it merges old ones:
+  // linear amortized, and O(distinct + kMinPending) memory.
+  if (pending_.size() > std::max(kMinPending, idx_.size())) Compact();
 }
 
 void CountVector::AddSamples(const size_t* samples, int64_t count) {
@@ -95,12 +142,12 @@ void CountVector::AddSamples(const size_t* samples, int64_t count) {
   }
   pending_.insert(pending_.end(), samples, samples + count);
   total_ += count;
-  if (pending_.size() >= 4096) Compact();
+  CompactIfFull();
 }
 
 void CountVector::Compact() const {
   if (pending_.empty()) return;
-  std::sort(pending_.begin(), pending_.end());
+  RadixSort(pending_, n_);
   // Aggregate the sorted buffer into (index, count) runs, then merge with
   // the existing sorted arrays.
   std::vector<size_t> new_idx;

@@ -43,8 +43,15 @@ class CountVector {
   /// Builds counts from raw samples; every sample must be < n.
   static CountVector FromSamples(size_t n, const std::vector<size_t>& samples);
 
-  /// Adopts a precomputed count vector (e.g., from PoissonizedCounts).
+  /// Adopts a precomputed count vector (e.g., from PoissonizedCounts):
+  /// one pass totals it and CHECK-fails on a negative count.
   static CountVector FromCounts(std::vector<int64_t> counts);
+
+  /// Adopts a vector that a count-level draw (AliasSampler::AddCounts) has
+  /// just written: `total` draws, each of them non-negative by the pass's
+  /// own construction and checks. Nothing is re-read.
+  static CountVector FromDrawnCounts(std::vector<int64_t> counts,
+                                     int64_t total);
 
   /// Sparse stays cheaper than dense until m reaches n / this fraction.
   static constexpr int64_t kSparseDomainFraction = 8;
@@ -63,6 +70,11 @@ class CountVector {
 
   /// Adds `count` observations in bulk (the oracle batch path).
   void AddSamples(const size_t* samples, int64_t count);
+
+  /// Sparse observations not yet merged into the sorted arrays. Add and
+  /// AddSamples keep it at most max(4096, distinct elements merged so far);
+  /// always 0 dense.
+  size_t BufferedCount() const { return pending_.size(); }
 
   /// Total count falling in `interval`.
   int64_t IntervalCount(const Interval& interval) const;
@@ -120,8 +132,11 @@ class CountVector {
  private:
   explicit CountVector(std::vector<int64_t> counts);
 
-  /// Folds pending sparse additions into the sorted (idx_, cnt_) arrays.
+  /// Folds pending sparse additions into the sorted (idx_, cnt_) arrays:
+  /// one radix sort of the buffer, then one merge.
   void Compact() const;
+  /// Compacts once the buffer outgrows max(4096, idx_.size()).
+  void CompactIfFull();
   int64_t SparseRangeSum(size_t begin, size_t end) const;
 
   size_t n_ = 0;

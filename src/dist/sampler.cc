@@ -63,6 +63,9 @@ class ColumnPoisson {
     }
   }
 
+  /// Never negative, which is what lets DrawCounts adopt a drawn vector
+  /// without re-reading it: a table draw is an unsigned index, and
+  /// Rng::Poisson checks its own draws.
   int64_t Draw(Rng& rng) const {
     if (guide_.empty()) {
       return OnCopy(rng, [&](Rng& r) { return r.Poisson(mean_); });

@@ -72,7 +72,10 @@ class AliasSampler {
   /// Multinomial(count - s) over the levels, a Binomial per level on its
   /// share of the mass left, then a uniform member per draw; otherwise it
   /// is count - s SampleBatch draws. Not stream-identical to SampleBatch;
-  /// deterministic for a given Rng state.
+  /// deterministic for a given Rng state. The counts add up to exactly
+  /// `count`, and every draw the pass writes is non-negative (a table
+  /// index, or an Rng::Poisson draw that is CHECKed), so the caller can
+  /// adopt the vector without re-reading it (CountVector::FromDrawnCounts).
   ///
   /// Elements are independent in the pass (Poissonization), so a domain
   /// wider than kColumnBlock is drawn in blocks of kColumnBlock elements on

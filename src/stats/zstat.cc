@@ -6,8 +6,66 @@
 #include "common/check.h"
 #include "common/kernels.h"
 #include "common/math_util.h"
+#include "common/thread_pool.h"
 
 namespace histest {
+namespace {
+
+/// Kernel blocks per job of a wide dense sweep: 2^14 elements, 256 KB of
+/// dstar and counts.
+constexpr size_t kJobBlocks = 16;
+
+/// The dense sweep on a domain of at least kPoolSweepMinSize elements. Each
+/// active interval's FusedCountsZKernel call is cut at its kernel blocks
+/// into jobs of at most kJobBlocks blocks, which run on the shared pool
+/// (the pool hands out runs of consecutive jobs, so small intervals go in
+/// batches) and write their block partials to slots of their own. Each
+/// interval's partials are then Kahan-summed in block order, as the kernel
+/// sums them, and the intervals in order into the total, so z, the total
+/// and the kernel call count are the serial sweep's, bit-for-bit.
+void WideDenseZ(const int64_t* counts, double m, const double* dstar,
+                const Partition& partition, double aeps_cut,
+                const std::vector<bool>* active_intervals,
+                ZStatResult& result) {
+  struct Job {
+    size_t interval, first, last;  // kernel blocks [first, last)
+  };
+  const size_t big_k = partition.NumIntervals();
+  std::vector<size_t> offset(big_k + 1, 0);  // first partial of interval j
+  std::vector<Job> jobs;
+  for (size_t j = 0; j < big_k; ++j) {
+    offset[j + 1] = offset[j];
+    if (active_intervals != nullptr && !(*active_intervals)[j]) continue;
+    const size_t blocks =
+        (partition.interval(j).size() + kKernelBlock - 1) / kKernelBlock;
+    offset[j + 1] += blocks;
+    for (size_t first = 0; first == 0 || first < blocks;
+         first += kJobBlocks) {
+      jobs.push_back(Job{j, first, std::min(blocks, first + kJobBlocks)});
+    }
+  }
+  std::vector<double> partials(offset[big_k]);
+  ParallelFor(static_cast<int64_t>(jobs.size()),
+              ThreadPool::Shared().size() + 1, [&](int64_t i) {
+                const Job& job = jobs[static_cast<size_t>(i)];
+                const Interval& iv = partition.interval(job.interval);
+                FusedCountsZPartials(
+                    dstar + iv.begin, counts + iv.begin, iv.size(), m,
+                    aeps_cut, job.first, job.last,
+                    partials.data() + offset[job.interval] + job.first);
+              });
+  KahanSum total;
+  for (size_t j = 0; j < big_k; ++j) {
+    if (active_intervals != nullptr && !(*active_intervals)[j]) continue;
+    KahanSum zj;
+    for (size_t b = offset[j]; b < offset[j + 1]; ++b) zj.Add(partials[b]);
+    result.z[j] = zj.Total();
+    total.Add(result.z[j]);
+  }
+  result.total = total.Total();
+}
+
+}  // namespace
 
 Result<ZStatResult> ComputeZStatistics(const CountVector& counts, double m,
                                        std::span<const double> dstar,
@@ -37,8 +95,14 @@ Result<ZStatResult> ComputeZStatistics(const CountVector& counts, double m,
     // instead of stage-then-reduce. Bit-identity with the staged path below
     // holds because the fused kernel takes the identical blocked summation
     // order (and the KahanSum wrapping each staged block is exact on block
-    // partials), preserving the bit-identical dense/sparse contract.
+    // partials), preserving the bit-identical dense/sparse contract. A wide
+    // domain runs the same kernel blocks on the shared pool (WideDenseZ).
     const int64_t* raw = counts.counts().data();
+    if (dstar.size() >= kPoolSweepMinSize) {
+      WideDenseZ(raw, m, dstar.data(), partition, aeps_cut, active_intervals,
+                 result);
+      return result;
+    }
     for (size_t j = 0; j < partition.NumIntervals(); ++j) {
       if (active_intervals != nullptr && !(*active_intervals)[j]) continue;
       const Interval& iv = partition.interval(j);

@@ -38,6 +38,17 @@ BASELINE = {
 }
 
 
+# BASELINE plus three ruler rows, for the median-of-rulers normalization.
+RULED = copy.deepcopy(BASELINE)
+RULED["benchmarks"] += [
+    {"name": name, "run_type": "iteration", "real_time": t,
+     "time_unit": "us", "iterations": 100}
+    for name, t in (("BM_L1DistanceKernel/262144", 204.0),
+                    ("BM_ChiSquareKernel/262144", 379.0),
+                    ("BM_ZAccumulateKernel/262144", 474.0))]
+RULERS = r"^BM_(L1Distance|ChiSquare|ZAccumulate)Kernel/262144$"
+
+
 def scaled(doc, factor, only=None):
     out = copy.deepcopy(doc)
     for row in out["benchmarks"]:
@@ -111,6 +122,36 @@ class BenchCompareTest(unittest.TestCase):
             "--normalize", r"BM_L1DistanceKernel_scalar/1048576$")
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertAlmostEqual(report["geomean_ratio"], 1.3, places=6)
+
+    def test_one_noisy_ruler_does_not_move_the_verdict(self):
+        # Three rulers; on the current run one of them read 1.5x slow (a
+        # loaded host), the others and every gated row unchanged. The
+        # median ratio is 1.0, so the gate passes at 1.0; a single-ruler
+        # gate on the noisy row would have read every row as 0.67.
+        current = scaled(RULED, 1.5, only={"BM_ChiSquareKernel/262144"})
+        proc, report = run_gate(RULED, current, "--normalize", RULERS)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertAlmostEqual(report["geomean_ratio"], 1.0)
+        self.assertAlmostEqual(report["normalized_by"]["median_ratio"], 1.0)
+        self.assertEqual(len(report["normalized_by"]["rulers"]), 3)
+        self.assertEqual(report["matched_rows"], 4)  # rulers excluded
+
+    def test_seeded_30_percent_slowdown_fails_with_several_rulers(self):
+        # A uniformly 2x slower machine on which every gated row also got
+        # 30% slower relative to the rulers, one ruler noisy on top.
+        current = scaled(RULED, 2.0)
+        gated = {row["name"] for row in RULED["benchmarks"]
+                 if "Kernel/262144" not in row["name"]}
+        current = scaled(current, 1.3, only=gated)
+        current = scaled(current, 1.4, only={"BM_ZAccumulateKernel/262144"})
+        proc, report = run_gate(RULED, current, "--normalize", RULERS)
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertAlmostEqual(report["geomean_ratio"], 1.3, places=6)
+        self.assertAlmostEqual(report["normalized_by"]["median_ratio"], 2.0)
+
+    def test_normalize_matching_no_common_row_is_an_error(self):
+        proc, _ = run_gate(BASELINE, BASELINE, "--normalize", "BM_NoSuchRow")
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
 
     def test_missing_and_new_rows_are_reported_not_fatal(self):
         current = copy.deepcopy(BASELINE)

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "dist/distribution.h"
@@ -23,6 +26,16 @@ TEST(ContractsDeathTest, PointMassOutOfRangeAborts) {
 TEST(ContractsDeathTest, CountVectorAddOutOfRangeAborts) {
   CountVector cv(4);
   EXPECT_DEATH(cv.Add(4), "CHECK failed");
+}
+
+TEST(ContractsDeathTest, WideFromCountsNegativeCountAborts) {
+  // Wide dense draws skip the re-read (FromDrawnCounts); outside input at
+  // the same sizes still goes through FromCounts' check.
+  for (const size_t n : {size_t{1} << 16, (size_t{1} << 18) + 3}) {
+    std::vector<int64_t> counts(n, 1);
+    counts[n - 2] = -1;
+    EXPECT_DEATH(CountVector::FromCounts(counts), "CHECK failed") << n;
+  }
 }
 
 TEST(ContractsDeathTest, TrivialPartitionOfEmptyDomainAborts) {

@@ -9,13 +9,15 @@
 //      once, regardless of how many trials fail or in what order.
 // plus the shared-table contract of DistributionOracle: oracles on several
 // threads read one immutable AliasSampler, dense DrawCounts included (whose
-// multi-block draws nest their own pool runs).
+// multi-block draws nest their own pool runs), and so do the wide-domain Z
+// statistic sweeps.
 
 #include "benchutil/parallel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -25,7 +27,9 @@
 
 #include "common/rng.h"
 #include "dist/generators.h"
+#include "dist/interval.h"
 #include "dist/sampler.h"
+#include "stats/zstat.h"
 #include "testing/oracle.h"
 #include "testing/uniformity.h"
 
@@ -234,6 +238,49 @@ TEST(TsanStressTest, DenseDrawCountsShareOneAliasTable) {
       EXPECT_EQ(got_b[i].counts(), alone_b[i].counts()) << n << " " << i;
     }
   }
+}
+
+TEST(TsanStressTest, WideZStatisticsAndSparseCountsShareOnePool) {
+  // At n = 2^18 ComputeZStatistics runs its kernel blocks on the shared
+  // pool, between dense draws that run theirs there too, and sparse
+  // DrawCounts compacts by radix sort. Two callers doing all of it at once
+  // (two pooled trials on a wide domain) must each get what they get alone.
+  const size_t n = size_t{1} << 18;
+  Rng gen(80);
+  const Distribution dist =
+      MakeRandomKHistogram(n, 8, gen).value().ToDistribution().value();
+  const auto shared = std::make_shared<const AliasSampler>(dist);
+  const Partition partition = Partition::EquiWidth(n, 48);
+  const auto run = [&](uint64_t seed) {
+    DistributionOracle oracle(shared, seed);
+    std::vector<uint64_t> out;
+    for (int round = 0; round < 3; ++round) {
+      const CountVector sparse =
+          oracle.DrawCounts(static_cast<int64_t>(n / 16));
+      const CountVector dense = oracle.DrawCounts(static_cast<int64_t>(4 * n));
+      for (const CountVector* counts : {&sparse, &dense}) {
+        const auto m = static_cast<double>(counts->total());
+        const auto z =
+            ComputeZStatistics(*counts, m, dist.pmf(), partition, 0.25);
+        EXPECT_TRUE(z.ok());
+        if (!z.ok()) return out;
+        for (const double zj : z.value().z) {
+          out.push_back(std::bit_cast<uint64_t>(zj));
+        }
+      }
+      out.push_back(sparse.DistinctCount());
+    }
+    return out;
+  };
+  const std::vector<uint64_t> alone_a = run(81);
+  const std::vector<uint64_t> alone_b = run(82);
+  std::vector<uint64_t> got_a, got_b;
+  std::thread ta([&]() { got_a = run(81); });
+  std::thread tb([&]() { got_b = run(82); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(got_a, alone_a);
+  EXPECT_EQ(got_b, alone_b);
 }
 
 }  // namespace

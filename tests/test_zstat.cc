@@ -2,15 +2,48 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "common/kernels.h"
+#include "common/math_util.h"
 #include "common/rng.h"
 #include "dist/distance.h"
 #include "dist/generators.h"
 #include "dist/sampler.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
+#include "obs/obs.h"
 
 namespace histest {
 namespace {
+
+/// The serial dense sweep that the pool sweep on wide domains must match
+/// bit-for-bit: one FusedCountsZKernel call per active interval, the
+/// results Kahan-summed in interval order.
+ZStatResult SerialDenseZ(const std::vector<int64_t>& counts, double m,
+                         const std::vector<double>& dstar,
+                         const Partition& partition, double eps,
+                         const std::vector<bool>* active) {
+  const double cut =
+      ZStatOptions{}.aeps_factor * eps / static_cast<double>(dstar.size());
+  ZStatResult result;
+  result.z.assign(partition.NumIntervals(), 0.0);
+  KahanSum total;
+  for (size_t j = 0; j < partition.NumIntervals(); ++j) {
+    if (active != nullptr && !(*active)[j]) continue;
+    const Interval& iv = partition.interval(j);
+    result.z[j] = FusedCountsZKernel(dstar.data() + iv.begin,
+                                     counts.data() + iv.begin, iv.size(), m,
+                                     cut);
+    total.Add(result.z[j]);
+  }
+  result.total = total.Total();
+  return result;
+}
 
 TEST(ZStatTest, ValidatesInput) {
   const CountVector counts(4);
@@ -112,6 +145,73 @@ TEST(ZStatTest, MeanMatchesExpectedZUnderAlternative) {
         ExpectedZ(d.pmf(), dstar.pmf(), p.interval(j), m, eps);
     EXPECT_NEAR(avg[j] / reps, expected, 0.1 * expected + 0.5)
         << "interval " << j;
+  }
+}
+
+TEST(ZStatTest, WideDenseSweepMatchesSerialReference) {
+  // From 2^16 elements on, the dense sweep runs its kernel blocks on the
+  // shared pool. z, the total and the kernel call count must be the serial
+  // sweep's exactly: for one interval over the whole domain (split into
+  // many jobs), for many ragged intervals, and under active masks.
+  Rng rng(31);
+  for (const size_t n : {size_t{1} << 16, size_t{1} << 18}) {
+    std::vector<double> weights(n);
+    for (size_t i = 0; i < n; ++i) {
+      // Every fifth element is far below the A_eps cut.
+      weights[i] = i % 5 == 0 ? 1e-12 : 1.0 + rng.UniformDouble();
+    }
+    const Distribution dstar = Distribution::FromWeights(weights).value();
+    const double m = 20.0 * static_cast<double>(n);
+    // Counts from a perturbed pmf, so most terms and every z_j are nonzero.
+    for (size_t i = 0; i < n; ++i) weights[i] *= 0.5 + rng.UniformDouble();
+    const std::vector<int64_t> counts = PoissonizedCounts(
+        Distribution::FromWeights(weights).value(), m, rng);
+    const CountVector cv = CountVector::FromCounts(counts);
+    std::vector<size_t> ends;
+    for (size_t end = 0; end < n;) {
+      end = std::min(n, end + 1 + rng.UniformInt(rng.UniformInt(4) == 0
+                                                     ? 40000
+                                                     : 700));
+      ends.push_back(end);
+    }
+    const std::vector<Partition> partitions = {
+        Partition::Trivial(n), Partition::FromEndpoints(n, ends).value(),
+        Partition::EquiWidth(n, 37)};
+    for (const Partition& p : partitions) {
+      std::vector<bool> half(p.NumIntervals());
+      for (size_t j = 0; j < half.size(); ++j) half[j] = rng.UniformInt(2) == 1;
+      const std::vector<bool> none(p.NumIntervals(), false);
+      const std::vector<const std::vector<bool>*> masks = {nullptr, &half,
+                                                           &none};
+      for (const std::vector<bool>* active : masks) {
+        const ZStatResult want =
+            SerialDenseZ(counts, m, dstar.pmf(), p, 0.25, active);
+        obs::MetricsRegistry::Global().ResetForTest();
+        obs::SetEnabled(true);
+        auto got = ComputeZStatistics(cv, m, dstar.pmf(), p, 0.25, {}, active);
+        const int64_t calls =
+            obs::MetricsRegistry::Global()
+                .GetCounter(obs::names::kKernelFusedCountsZCalls)
+                .Value();
+        obs::SetEnabled(false);
+        obs::MetricsRegistry::Global().ResetForTest();
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(got.value().z.size(), want.z.size());
+        for (size_t j = 0; j < want.z.size(); ++j) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(got.value().z[j]),
+                    std::bit_cast<uint64_t>(want.z[j]))
+              << n << " interval " << j;
+        }
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.value().total),
+                  std::bit_cast<uint64_t>(want.total))
+            << n;
+        size_t active_count = 0;
+        for (size_t j = 0; j < p.NumIntervals(); ++j) {
+          active_count += active == nullptr || (*active)[j] ? 1 : 0;
+        }
+        EXPECT_EQ(calls, static_cast<int64_t>(active_count)) << n;
+      }
+    }
   }
 }
 

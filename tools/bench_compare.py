@@ -12,10 +12,14 @@ ratios over all matched rows exceeds 1 + threshold (default 0.15, i.e. a
 
 Cross-machine noise: a committed baseline was produced on some runner; the
 CI runner may simply be a uniformly slower (or faster) machine. Pass
---normalize NAME to divide every row's time by that row's time *within its
-own file* before comparing; a uniform machine-speed shift then cancels
-while a relative regression (one kernel got slower than the ruler) still
-trips the gate. The ruler row itself is excluded from the geomean.
+--normalize REGEX to name ruler rows: every row matching REGEX in both
+files is a ruler, and every other row's current time is divided by the
+median of the rulers' current / baseline ratios before comparing. A
+uniform machine-speed shift then cancels, while a relative regression (a
+kernel got slower than the rulers) still trips the gate. With several
+rulers, one ruler's own noise (a slow run of one row on a loaded host)
+cannot move every ratio: the median passes it by. Ruler rows are excluded
+from the geomean.
 
 Rows present in only one file never fail the gate; they are listed in the
 report (and in --json output) so renames are visible. Aggregate rows
@@ -35,6 +39,7 @@ import json
 import math
 import os
 import re
+import statistics
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -72,15 +77,13 @@ def load_rows(path):
     return rows
 
 
-def pick_ruler(rows, pattern, path):
-    """Resolves --normalize: the unique row matching `pattern`."""
-    matches = [n for n in rows if re.search(pattern, n)]
-    if len(matches) != 1:
-        die(
-            f"bench_compare: --normalize {pattern!r} matches "
-            f"{len(matches)} rows in {path} (need exactly 1): "
-            f"{sorted(matches)[:5]}")
-    return matches[0]
+def pick_rulers(base, cur, pattern):
+    """Resolves --normalize: the rows matching `pattern` in both files."""
+    rulers = sorted(n for n in set(base) & set(cur) if re.search(pattern, n))
+    if not rulers:
+        die(f"bench_compare: --normalize {pattern!r} matches no row "
+            f"present in both files")
+    return rulers
 
 
 def attribute_regression(base_summary, cur_summary):
@@ -117,9 +120,9 @@ def main():
         help="only compare rows whose name matches this regex")
     parser.add_argument(
         "--normalize", default=None, metavar="REGEX",
-        help="ruler row: divide each file's times by its own time for the "
-             "unique row matching this regex (cancels uniform machine-speed "
-             "differences)")
+        help="ruler rows: divide every current time by the median "
+             "current/baseline ratio of the rows matching this regex in both "
+             "files (cancels uniform machine-speed differences)")
     parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="write a machine-readable report to PATH")
@@ -138,13 +141,11 @@ def main():
 
     normalized_by = None
     if args.normalize:
-        base_ruler = pick_ruler(base, args.normalize, args.baseline)
-        cur_ruler = pick_ruler(cur, args.normalize, args.current)
-        normalized_by = {"baseline": base_ruler, "current": cur_ruler}
-        base_scale = base[base_ruler]
-        cur_scale = cur[cur_ruler]
-        base = {n: t / base_scale for n, t in base.items() if n != base_ruler}
-        cur = {n: t / cur_scale for n, t in cur.items() if n != cur_ruler}
+        rulers = pick_rulers(base, cur, args.normalize)
+        scale = statistics.median(cur[r] / base[r] for r in rulers)
+        normalized_by = {"rulers": rulers, "median_ratio": scale}
+        base = {n: t for n, t in base.items() if n not in rulers}
+        cur = {n: t / scale for n, t in cur.items() if n not in rulers}
 
     if args.filter:
         rx = re.compile(args.filter)
@@ -173,11 +174,15 @@ def main():
     ok = geomean <= limit
 
     per_row.sort(key=lambda r: r["ratio"], reverse=True)
-    unit = "(ruler-relative)" if normalized_by else "ns/iter"
+    unit = ("ns/iter (current divided by the median ruler ratio)"
+            if normalized_by else "ns/iter")
     print(f"bench_compare: {len(matched)} rows matched, "
           f"{len(missing)} missing, {len(added)} new")
     if normalized_by:
-        print(f"  normalized by: {normalized_by['baseline']}")
+        print(f"  normalized by the median ratio "
+              f"{normalized_by['median_ratio']:.4f} of "
+              f"{len(normalized_by['rulers'])} ruler rows: "
+              f"{', '.join(normalized_by['rulers'])}")
     print(f"  {'name':<52} {'base':>12} {'current':>12} {'ratio':>7}")
     for r in per_row:
         flag = "  <-- regression" if r["ratio"] > limit else ""
