@@ -1,7 +1,6 @@
 #ifndef HISTEST_COMMON_THREAD_POOL_H_
 #define HISTEST_COMMON_THREAD_POOL_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -74,13 +73,6 @@ class ThreadPool {
 /// outputs (per-index output slots need none).
 void ParallelFor(int64_t count, int threads,
                  const std::function<void(int64_t)>& job);
-
-/// Domains of at least this many elements (16 count-draw blocks) take the
-/// wide-domain paths: the Z statistic runs in blocks on the shared pool,
-/// and a dense draw is adopted without a second read. Narrower ones keep
-/// their serial sweeps, where a whole Z sweep costs about two pool start
-/// latencies (DESIGN.md, "Wide-domain sweeps").
-inline constexpr size_t kPoolSweepMinSize = size_t{1} << 16;
 
 /// Number of worker threads the experiment harness uses by default. A
 /// HISTEST_THREADS environment override (an integer >= 1) is honored

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "obs/obs.h"
 #include "obs/names.h"
 
@@ -69,14 +68,9 @@ CountVector DistributionOracle::DrawCounts(int64_t count) {
     // count level in O(n) too, an exact multinomial over the alias table.
     std::vector<int64_t> counts(domain_size_, 0);
     alias_->AddCounts(rng_, count, counts.data());
-    // AddCounts writes exactly `count` draws, none of them negative, so a
-    // wide vector (2 MB at n = 2^18) is adopted without a second read;
-    // narrower ones keep FromCounts' serial pass (DESIGN.md, "Wide-domain
-    // sweeps").
-    if (domain_size_ >= kPoolSweepMinSize) {
-      return CountVector::FromDrawnCounts(std::move(counts), count);
-    }
-    return CountVector::FromCounts(std::move(counts));
+    // AddCounts writes exactly `count` draws, none of them negative, so the
+    // vector is adopted without a second read.
+    return CountVector::FromDrawnCounts(std::move(counts), count);
   }
   // Sample in cache-resident chunks straight off the shared tables; the
   // stream (and hence the counts) is identical to `count` Draw() calls.

@@ -126,15 +126,32 @@ class BenchCompareTest(unittest.TestCase):
     def test_one_noisy_ruler_does_not_move_the_verdict(self):
         # Three rulers; on the current run one of them read 1.5x slow (a
         # loaded host), the others and every gated row unchanged. The
-        # median ratio is 1.0, so the gate passes at 1.0; a single-ruler
-        # gate on the noisy row would have read every row as 0.67.
+        # median ratio is 1.0, so every other row reads 1.0 and only the
+        # noisy ruler's own row reads 1.5; a single-ruler gate on the noisy
+        # row would have read every row as 0.67.
         current = scaled(RULED, 1.5, only={"BM_ChiSquareKernel/262144"})
         proc, report = run_gate(RULED, current, "--normalize", RULERS)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertAlmostEqual(report["geomean_ratio"], 1.0)
+        self.assertAlmostEqual(report["geomean_ratio"], 1.5 ** (1 / 7))
         self.assertAlmostEqual(report["normalized_by"]["median_ratio"], 1.0)
         self.assertEqual(len(report["normalized_by"]["rulers"]), 3)
-        self.assertEqual(report["matched_rows"], 4)  # rulers excluded
+        self.assertEqual(report["matched_rows"], 7)  # rulers stay gated
+
+    def test_a_slower_ruler_row_still_counts_in_the_geomean(self):
+        # One ruler kernel got 3x slower and nothing else moved: the median
+        # passes it by for the scale, but its own normalized ratio is in
+        # the geomean, as it would be for any other row.
+        current = scaled(RULED, 3.0, only={"BM_ZAccumulateKernel/262144"})
+        proc, report = run_gate(RULED, current, "--normalize", RULERS)
+        ratios = {r["name"]: r["ratio"] for r in report["per_benchmark"]}
+        self.assertAlmostEqual(ratios["BM_ZAccumulateKernel/262144"], 3.0)
+        self.assertAlmostEqual(report["geomean_ratio"], 3.0 ** (1 / 7))
+        # Past the bound once it is the only row, as it would be unruled.
+        proc, report = run_gate(
+            RULED, current, "--normalize", RULERS,
+            "--filter", r"ZAccumulateKernel")
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertAlmostEqual(report["geomean_ratio"], 3.0)
 
     def test_seeded_30_percent_slowdown_fails_with_several_rulers(self):
         # A uniformly 2x slower machine on which every gated row also got
@@ -146,12 +163,23 @@ class BenchCompareTest(unittest.TestCase):
         current = scaled(current, 1.4, only={"BM_ZAccumulateKernel/262144"})
         proc, report = run_gate(RULED, current, "--normalize", RULERS)
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
-        self.assertAlmostEqual(report["geomean_ratio"], 1.3, places=6)
+        self.assertAlmostEqual(report["geomean_ratio"],
+                               (1.3 ** 4 * 1.4) ** (1 / 7), places=6)
         self.assertAlmostEqual(report["normalized_by"]["median_ratio"], 2.0)
 
-    def test_normalize_matching_no_common_row_is_an_error(self):
+    def test_normalize_matching_no_row_is_an_error(self):
         proc, _ = run_gate(BASELINE, BASELINE, "--normalize", "BM_NoSuchRow")
         self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+
+    def test_normalize_matching_different_rows_is_an_error(self):
+        # A ruler missing from one file would change what the median means.
+        current = copy.deepcopy(RULED)
+        current["benchmarks"] = [row for row in current["benchmarks"]
+                                 if row["name"] != "BM_ChiSquareKernel/262144"]
+        for base, cur in ((RULED, current), (current, RULED)):
+            proc, _ = run_gate(base, cur, "--normalize", RULERS)
+            self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+            self.assertIn("BM_ChiSquareKernel/262144", proc.stderr)
 
     def test_missing_and_new_rows_are_reported_not_fatal(self):
         current = copy.deepcopy(BASELINE)

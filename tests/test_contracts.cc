@@ -29,8 +29,8 @@ TEST(ContractsDeathTest, CountVectorAddOutOfRangeAborts) {
 }
 
 TEST(ContractsDeathTest, WideFromCountsNegativeCountAborts) {
-  // Wide dense draws skip the re-read (FromDrawnCounts); outside input at
-  // the same sizes still goes through FromCounts' check.
+  // Dense draws skip the re-read (FromDrawnCounts); outside input, wide
+  // vectors included, still goes through FromCounts' check.
   for (const size_t n : {size_t{1} << 16, (size_t{1} << 18) + 3}) {
     std::vector<int64_t> counts(n, 1);
     counts[n - 2] = -1;

@@ -151,12 +151,13 @@ TEST(CountVectorTest, SparseBufferGrowsWithTheDistinctCount) {
   EXPECT_EQ(cv.DistinctCount(), 40000u);
 }
 
-TEST(CountVectorTest, WideDrawnCountsKeepTheDrawTotal) {
-  // From 2^16 elements on, dense DrawCounts hands its known total to
-  // FromDrawnCounts instead of re-reading the vector: the total must be
-  // what a re-read gives, and no count negative.
+TEST(CountVectorTest, DrawnCountsKeepTheDrawTotal) {
+  // Dense DrawCounts hands its known total to FromDrawnCounts instead of
+  // re-reading the vector: the total must be what a re-read gives, and no
+  // count negative.
   Rng gen(12);
-  for (const size_t n : {size_t{1} << 16, (size_t{1} << 18) + 5}) {
+  for (const size_t n :
+       {size_t{1} << 10, size_t{1} << 16, (size_t{1} << 18) + 5}) {
     const Distribution dist =
         MakeRandomKHistogram(n, 8, gen).value().ToDistribution().value();
     DistributionOracle oracle(dist, n);

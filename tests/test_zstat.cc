@@ -21,7 +21,7 @@
 namespace histest {
 namespace {
 
-/// The serial dense sweep that the pool sweep on wide domains must match
+/// The serial dense sweep that the blocked dense sweep must match
 /// bit-for-bit: one FusedCountsZKernel call per active interval, the
 /// results Kahan-summed in interval order.
 ZStatResult SerialDenseZ(const std::vector<int64_t>& counts, double m,
@@ -148,13 +148,15 @@ TEST(ZStatTest, MeanMatchesExpectedZUnderAlternative) {
   }
 }
 
-TEST(ZStatTest, WideDenseSweepMatchesSerialReference) {
-  // From 2^16 elements on, the dense sweep runs its kernel blocks on the
-  // shared pool. z, the total and the kernel call count must be the serial
-  // sweep's exactly: for one interval over the whole domain (split into
-  // many jobs), for many ragged intervals, and under active masks.
+TEST(ZStatTest, DenseSweepMatchesSerialReference) {
+  // The dense sweep runs its kernel blocks as jobs: inline below 2^16
+  // elements, on the shared pool from there on. z, the total and the
+  // kernel call count must be the serial sweep's exactly: for one interval
+  // over the whole domain (split into many jobs), for many ragged
+  // intervals, and under active masks.
   Rng rng(31);
-  for (const size_t n : {size_t{1} << 16, size_t{1} << 18}) {
+  for (const size_t n :
+       {(size_t{1} << 14) + 3, size_t{1} << 16, size_t{1} << 18}) {
     std::vector<double> weights(n);
     for (size_t i = 0; i < n; ++i) {
       // Every fifth element is far below the A_eps cut.

@@ -12,14 +12,16 @@ ratios over all matched rows exceeds 1 + threshold (default 0.15, i.e. a
 
 Cross-machine noise: a committed baseline was produced on some runner; the
 CI runner may simply be a uniformly slower (or faster) machine. Pass
---normalize REGEX to name ruler rows: every row matching REGEX in both
-files is a ruler, and every other row's current time is divided by the
+--normalize REGEX to name ruler rows: the rows matching REGEX, which must
+be the same rows in both files. Every current time is divided by the
 median of the rulers' current / baseline ratios before comparing. A
 uniform machine-speed shift then cancels, while a relative regression (a
 kernel got slower than the rulers) still trips the gate. With several
 rulers, one ruler's own noise (a slow run of one row on a loaded host)
-cannot move every ratio: the median passes it by. Ruler rows are excluded
-from the geomean.
+cannot move every ratio: the median passes it by, and each ruler's
+normalized ratio stays in the geomean like any other row's. A lone ruler
+is left out of the geomean, since its normalized ratio is 1 by
+construction.
 
 Rows present in only one file never fail the gate; they are listed in the
 report (and in --json output) so renames are visible. Aggregate rows
@@ -78,12 +80,17 @@ def load_rows(path):
 
 
 def pick_rulers(base, cur, pattern):
-    """Resolves --normalize: the rows matching `pattern` in both files."""
-    rulers = sorted(n for n in set(base) & set(cur) if re.search(pattern, n))
-    if not rulers:
-        die(f"bench_compare: --normalize {pattern!r} matches no row "
-            f"present in both files")
-    return rulers
+    """Resolves --normalize: the rows matching `pattern`, the same in both
+    files."""
+    base_rulers = sorted(n for n in base if re.search(pattern, n))
+    cur_rulers = sorted(n for n in cur if re.search(pattern, n))
+    if base_rulers != cur_rulers:
+        die(f"bench_compare: --normalize {pattern!r} matches "
+            f"{base_rulers} in the baseline but {cur_rulers} in the "
+            f"current file")
+    if not base_rulers:
+        die(f"bench_compare: --normalize {pattern!r} matches no row")
+    return base_rulers
 
 
 def attribute_regression(base_summary, cur_summary):
@@ -121,8 +128,9 @@ def main():
     parser.add_argument(
         "--normalize", default=None, metavar="REGEX",
         help="ruler rows: divide every current time by the median "
-             "current/baseline ratio of the rows matching this regex in both "
-             "files (cancels uniform machine-speed differences)")
+             "current/baseline ratio of the rows matching this regex, which "
+             "must be the same rows in both files (cancels uniform "
+             "machine-speed differences)")
     parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="write a machine-readable report to PATH")
@@ -144,8 +152,9 @@ def main():
         rulers = pick_rulers(base, cur, args.normalize)
         scale = statistics.median(cur[r] / base[r] for r in rulers)
         normalized_by = {"rulers": rulers, "median_ratio": scale}
-        base = {n: t for n, t in base.items() if n not in rulers}
-        cur = {n: t / scale for n, t in cur.items() if n not in rulers}
+        left_out = set(rulers) if len(rulers) == 1 else set()
+        base = {n: t for n, t in base.items() if n not in left_out}
+        cur = {n: t / scale for n, t in cur.items() if n not in left_out}
 
     if args.filter:
         rx = re.compile(args.filter)
