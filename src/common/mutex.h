@@ -11,8 +11,8 @@
 namespace histest {
 
 /// Capability-annotated wrappers over the standard locks. These are the
-/// only sanctioned mutex types in the codebase: the lock-discipline
-/// analyzer checker bans raw std::mutex / std::shared_mutex /
+/// only sanctioned mutex types in the codebase: the analyzer's raw-lock
+/// row bans raw std::mutex / std::shared_mutex /
 /// std::condition_variable / std::lock_guard / std::unique_lock everywhere
 /// else, so every guarded field carries a HISTEST_GUARDED_BY contract that
 /// Clang verifies statically (see common/thread_annotations.h and the

@@ -32,8 +32,10 @@ const char* StatusCodeToString(StatusCode code);
 /// warns (and, under -Werror, fails to compile) if the caller drops the
 /// result. Consume every Status — check it, propagate it with
 /// HISTEST_RETURN_IF_ERROR, or discard it explicitly with a `(void)` cast
-/// and a comment saying why. The histest-analyzer status-discipline checker
-/// enforces the same contract at the AST level (tools/analyzer/).
+/// and a comment saying why. src/ builds with -Werror (HISTEST_WERROR, on
+/// by default) and tests/, bench/ and examples/ with -Werror=unused-result,
+/// so a dropped result is a build error (the status_nodiscard_build ctest
+/// compiles a seeded drop).
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

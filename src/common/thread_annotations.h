@@ -28,10 +28,9 @@
 ///   * HISTEST_CAPABILITY / HISTEST_SCOPED_CAPABILITY — marks a class as a
 ///                                   capability / RAII capability holder.
 ///   * HISTEST_NO_THREAD_SAFETY_ANALYSIS — opts one function out of the
-///                                   analysis. Every use must carry a
-///                                   reasoned `// analyzer-allow(
-///                                   lock-discipline): <why>` comment; the
-///                                   lock-discipline checker enforces this.
+///                                   analysis. Say next to every use why
+///                                   the access is safe without the
+///                                   capability (the tree has no use).
 ///
 /// Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
 

@@ -56,7 +56,6 @@
 #include "lowerbound/permutation.h"
 #include "lowerbound/reduction.h"
 #include "lowerbound/support_size_family.h"
-#include "stats/amplify.h"
 #include "stats/bounds.h"
 #include "stats/collision.h"
 #include "stats/poissonization.h"

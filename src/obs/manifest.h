@@ -24,7 +24,7 @@ inline constexpr int kManifestVersion = 2;
 
 /// Machine-readable field inventory: X(key, "description"). The JSON object
 /// produced by RunManifest::ToJson has exactly these keys, in this order.
-/// tools/gen_manifest_table.py parses this block into the DESIGN.md schema
+/// tools/gen_design_tables.py parses this block into the DESIGN.md schema
 /// table (a --check ctest keeps them in sync), and tools/trace_gate.py
 /// requires every key in gated traces. Edit fields HERE first.
 // clang-format off

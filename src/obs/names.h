@@ -6,15 +6,15 @@
 ///
 /// Instrumentation call sites (obs::AddCount / SetGauge and the TraceSpan
 /// constructor) must use the constants defined
-/// here — the obs-name-discipline analyzer checker bans free-form string
+/// here — the analyzer's obs-name-discipline row bans free-form string
 /// literals at those sites, so a typo can no longer fork a counter into two
 /// names that tooling silently treats as different metrics.
 ///
-/// The X-macro list below is machine-readable: tools/obs_names.py parses
+/// The X-macro list below is machine-readable: tools/obs_registry.py parses
 /// this header and feeds tools/trace_gate.py (unknown-name CI gate),
 /// tools/histest-trace (advisory name validation), and
-/// tools/gen_obs_names_table.py (the generated DESIGN.md table, kept in
-/// sync by CI). Edit names HERE and nowhere else.
+/// tools/gen_design_tables.py (the generated DESIGN.md table, kept in
+/// sync by a ctest). Edit names HERE and nowhere else.
 ///
 /// Entry format: X(ident, "name", kind, "description") where kind is one of
 /// counter | gauge | span.

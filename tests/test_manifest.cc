@@ -30,7 +30,7 @@ class ScopedEnv {
 };
 
 // The JSON keys, straight from the X-macro — the same inventory
-// tools/manifest_fields.py parses and trace_gate.py enforces.
+// tools/obs_registry.py parses and trace_gate.py enforces.
 std::vector<std::string> ManifestKeys() {
   std::vector<std::string> keys;
 #define HISTEST_MANIFEST_KEY(key, ...) keys.push_back(#key);

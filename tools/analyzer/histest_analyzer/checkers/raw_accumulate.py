@@ -31,14 +31,7 @@ class RawAccumulateChecker(Checker):
               "src/common/math_util.h", "src/common/math_util.cc")
 
     def check(self, ctx):
-        out = self._std_accumulate(ctx)
-        if getattr(ctx, "clang_facts", None) is not None and \
-                ctx.clang_facts.parsed:
-            for line, col, lhs in ctx.clang_facts.loop_float_accum:
-                out.append(self._finding(ctx, line, col, lhs))
-            return out
-        out.extend(self._internal_loops(ctx))
-        return out
+        return self._std_accumulate(ctx) + self._internal_loops(ctx)
 
     def _std_accumulate(self, ctx):
         """`std::accumulate` / `std::reduce` anywhere in scope (these are

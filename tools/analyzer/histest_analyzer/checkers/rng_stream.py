@@ -58,14 +58,7 @@ class RngStreamChecker(Checker):
             out.extend(self._raw_rng(ctx))
         if ctx.rel_path.startswith("src/"):
             out.extend(self._time_seed(ctx))
-        if getattr(ctx, "clang_facts", None) is not None and \
-                ctx.clang_facts.parsed:
-            for line, col, recv, method in ctx.clang_facts.rng_in_parallel:
-                out.append(self._parallel_finding(ctx, line, col, recv,
-                                                  method))
-            out.extend(self._schedule_dependent(ctx, tainted_only=True))
-        else:
-            out.extend(self._schedule_dependent(ctx, tainted_only=False))
+        out.extend(self._schedule_dependent(ctx))
         return out
 
     # ------------------------------------------------------------ part 1
@@ -149,13 +142,12 @@ class RngStreamChecker(Checker):
 
     # ------------------------------------------------------------ parts 3+4
 
-    def _schedule_dependent(self, ctx, tainted_only: bool):
+    def _schedule_dependent(self, ctx):
         toks = ctx.model.tokens
         out = []
         seen = set()
         for fn, st in statement_spans(ctx):
-            check_parallel = st.parallel_call and not tainted_only
-            if not (check_parallel or st.thread_tainted):
+            if not (st.parallel_call or st.thread_tainted):
                 continue
             i = st.start
             while i < st.end - 1:
@@ -170,31 +162,24 @@ class RngStreamChecker(Checker):
                     elif toks[i + 1].text == "(":
                         recv, method = t, None  # operator() draw
                     if recv is not None:
-                        f = self._check_draw(ctx, fn, st, recv, method,
-                                             tainted_only)
+                        f = self._check_draw(ctx, fn, st, recv, method)
                         if f is not None and (f.line, f.col) not in seen:
                             seen.add((f.line, f.col))
                             out.append(f)
                 i += 1
-            out.extend(self._helper_draws(ctx, fn, st, tainted_only, seen))
+            out.extend(self._helper_draws(ctx, fn, st, seen))
         return out
 
-    def _helper_draws(self, ctx, fn, st, tainted_only, seen):
+    def _helper_draws(self, ctx, fn, st, seen):
         """Interprocedural half of parts 3+4: `Helper(rng)` where Helper's
         summary says it draws from that parameter position is a draw from
         `rng` at this site — a shared generator handed to a helper inside
         a parallel lambda is as schedule-dependent as a direct draw."""
-        summaries = getattr(ctx, "summaries", None)
-        if summaries is None:
-            return []
-        check_parallel = st.parallel_call and not tainted_only
-        if not (check_parallel or st.thread_tainted):
-            return []
         toks = ctx.model.tokens
         match = ctx.model.match
         out = []
         for callee, op in iter_calls(toks, match, st.start, st.end):
-            positions = summaries.draws_rng_params(callee)
+            positions = ctx.summaries.draws_rng_params(callee)
             if not positions:
                 continue
             args, _ = split_call_args(toks, match, op)
@@ -209,7 +194,7 @@ class RngStreamChecker(Checker):
                         continue
                     if (t.line, t.col) in seen:
                         continue
-                    if check_parallel:
+                    if st.parallel_call:
                         if fn.is_lambda and fn.declared_locally(t.text):
                             continue  # per-task generator: safe to hand on
                         seen.add((t.line, t.col))
@@ -233,7 +218,7 @@ class RngStreamChecker(Checker):
                             ctx.line_text(t.line)))
         return out
 
-    def _check_draw(self, ctx, fn, st, recv, method, tainted_only):
+    def _check_draw(self, ctx, fn, st, recv, method):
         if method is not None and method.text not in RNG_DRAW_METHODS:
             return None
         cls = fn.type_of(recv.text, ctx.index, ctx.model.member_types)
@@ -241,7 +226,7 @@ class RngStreamChecker(Checker):
             return None
         if method is None and not (fn.is_lambda or st.thread_tainted):
             return None
-        if st.parallel_call and not tainted_only:
+        if st.parallel_call:
             if fn.is_lambda and fn.declared_locally(recv.text):
                 return None  # per-task generator constructed in the lambda
             mname = method.text if method is not None else "operator()"

@@ -11,7 +11,7 @@ import pathlib
 import sys
 
 from . import TOOL_NAME, __version__
-from . import backends, engine, output
+from . import engine
 
 
 def _default_root() -> pathlib.Path:
@@ -22,9 +22,9 @@ def _default_root() -> pathlib.Path:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog=TOOL_NAME,
-        description="AST-based contract checker for the histest codebase "
-                    "(Status discipline, numerical safety, RNG-stream "
-                    "determinism).")
+        description="Token-level contract checker for the histest codebase "
+                    "(numerical safety, RNG-stream determinism, banned "
+                    "tokens).")
     p.add_argument("paths", nargs="*",
                    help="files or directories to scan (default: src, "
                         "bench, tests, examples under --root)")
@@ -32,27 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repository root (default: auto-detected)")
     p.add_argument("--checkers", default=None, metavar="A,B,...",
                    help="comma-separated subset of checkers to run")
-    p.add_argument("--diff", default=None, metavar="BASE_REF",
-                   help="incremental mode: scan only sources changed "
-                        "relative to BASE_REF (git diff --name-only), with "
-                        "the cross-file symbol index still built from the "
-                        "full tree; exits 0 immediately when nothing "
-                        "scannable changed")
-    p.add_argument("--backend", default="auto",
-                   choices=("auto", "internal", "libclang"),
-                   help="analysis backend (auto prefers libclang when "
-                        "clang.cindex is importable)")
-    p.add_argument("--format", default="text",
-                   choices=("text", "json", "sarif"), dest="fmt")
-    p.add_argument("--output", default=None, metavar="FILE",
-                   help="write the report to FILE instead of stdout")
-    p.add_argument("--all-scopes", action="store_true",
-                   help="apply every checker to every scanned file, "
-                        "ignoring per-checker path scopes (fixture tests)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="parse files with N worker processes (0 = one per "
-                        "CPU); the summary fixpoint and checkers stay "
-                        "serial")
     p.add_argument("--strict-suppressions", action="store_true",
                    help="treat stale-suppression findings as errors "
                         "(exit 1) instead of warnings (CI mode)")
@@ -82,58 +61,15 @@ def main(argv=None) -> int:
     if args.checkers:
         checker_names = [c.strip() for c in args.checkers.split(",")
                          if c.strip()]
-
-    paths = args.paths or None
-    index_tree = False
-    if args.diff is not None:
-        if paths:
-            print(f"{TOOL_NAME}: --diff and explicit paths are mutually "
-                  f"exclusive", file=sys.stderr)
-            return 2
-        try:
-            changed = engine.changed_files(root, args.diff)
-        except RuntimeError as err:
-            print(f"{TOOL_NAME}: {err}", file=sys.stderr)
-            return 2
-        if not changed:
-            print(f"{TOOL_NAME}: no scannable sources changed vs "
-                  f"{args.diff}; nothing to do", file=sys.stderr)
-            return 0
-        paths = [str(f) for f in changed]
-        index_tree = True
-
-    jobs = args.jobs
-    if jobs == 0:
-        import os
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        print(f"{TOOL_NAME}: --jobs must be >= 0", file=sys.stderr)
-        return 2
-
     try:
         result = engine.run_scan(root, checker_names=checker_names,
-                                 paths=paths,
-                                 all_scopes=args.all_scopes,
-                                 backend=args.backend,
-                                 index_tree=index_tree,
-                                 jobs=jobs,
+                                 paths=args.paths or None,
                                  strict_suppressions=args.strict_suppressions)
-    except (ValueError, RuntimeError) as err:
+    except ValueError as err:
         print(f"{TOOL_NAME}: {err}", file=sys.stderr)
         return 2
 
-    print(f"{TOOL_NAME}: parsed in {result.parse_seconds:.2f}s "
-          f"(jobs={result.parse_jobs}), checked in "
-          f"{result.check_seconds:.2f}s", file=sys.stderr)
-    report = output.render(result, args.fmt)
-    if args.output:
-        pathlib.Path(args.output).write_text(report)
-        print(engine.summary_line(result), file=sys.stderr)
-    else:
-        sys.stdout.write(report)
-        if args.fmt != "text":
-            print(engine.summary_line(result), file=sys.stderr)
-
+    sys.stdout.write(engine.render_text(result))
     # Warnings (stale suppressions outside --strict-suppressions) are
     # reported but do not fail the scan.
     return 1 if result.errors else 0

@@ -3,9 +3,8 @@
 Pass one of every scan: lex + model all files, collect the names of
 functions whose declared return type belongs to a contract class. Checkers
 then classify call expressions by callee name. Names are indexed by their
-last component (``EstimateAcceptance``, not ``histest::...``) — the
-codebase has no cross-namespace collisions among contract-typed functions,
-and the libclang backend resolves precisely where available.
+last component (``EstimateAcceptance``, not ``histest::...``); a name seen
+with two return classes answers None.
 """
 
 from __future__ import annotations
@@ -58,11 +57,5 @@ class SymbolIndex:
             return None
         return self._class.get(name)
 
-    def returns_status(self, name: str) -> bool:
-        return self._lookup(name) == "status"
-
     def returns_float(self, name: str) -> bool:
         return name in STD_FLOAT_FNS or self._lookup(name) == "float"
-
-    def returns_rng(self, name: str) -> bool:
-        return self._lookup(name) == "rng"

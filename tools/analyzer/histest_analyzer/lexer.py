@@ -80,15 +80,6 @@ class LexedFile:
         self.comments: list[Comment] = comments
         self.pp_lines: list[PpLine] = pp_lines
 
-    def includes(self) -> list[str]:
-        """Include targets, e.g. 'random' for `#include <random>`."""
-        out = []
-        for pp in self.pp_lines:
-            m = re.match(r'#\s*include\s*[<"]([^>"]+)[>"]', pp.text)
-            if m:
-                out.append(m.group(1))
-        return out
-
 
 def lex(text: str) -> LexedFile:
     tokens: list[Token] = []

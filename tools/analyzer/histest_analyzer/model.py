@@ -12,12 +12,11 @@ checkers query — no more:
     harness, and whether it is guarded by thread-topology state;
   * lambda bodies with the callee they are passed to.
 
-Types are classified into the four classes the contracts care about:
-'float' (double/float scalars), 'float_ptr' (pointer/array of them),
-'rng' (histest::Rng), 'status' (Status / Result<T>). Everything else is
-None. The model is deliberately heuristic — the libclang backend supplies
-exact types when available — but it is tuned to this codebase's style and
-errs toward silence, not noise.
+Types are classified into the three classes the contracts care about:
+'float' (double/float scalars), 'float_ptr' (pointer/array of them) and
+'rng' (histest::Rng). Everything else is None. The model is deliberately
+heuristic, tuned to this codebase's style, and errs toward silence, not
+noise.
 """
 
 from __future__ import annotations
@@ -70,13 +69,12 @@ class Statement:
     loop_depth: int = 0
     parallel_call: str | None = None  # lambda passed to this callee, if any
     thread_tainted: bool = False
-    in_lambda: bool = False
 
 
 @dataclass
 class FunctionDef:
     name: str
-    return_class: str | None   # 'status' | 'float' | 'rng' | None
+    return_class: str | None   # 'float' | 'float_ptr' | 'rng' | None
     head_start: int
     body_open: int             # '{' token index
     body_close: int
@@ -85,14 +83,9 @@ class FunctionDef:
     var_types: dict = field(default_factory=dict)   # name -> class
     auto_inits: dict = field(default_factory=dict)  # name -> (start, end)
     statements: list = field(default_factory=list)
-    # Raw syntax retained for the interprocedural summary layer
-    # (summaries.py): contract classes alone cannot express arena/view/
-    # container types, and call-site argument matching needs positions.
+    # Parameter positions for the Rng-draw summaries (summaries.py), which
+    # match call-site arguments by position.
     param_order: list = field(default_factory=list)  # (name|None, class|None)
-    decl_texts: dict = field(default_factory=dict)   # name -> type-token texts
-    decl_statics: set = field(default_factory=set)   # static/thread_local vars
-    return_texts: tuple = ()                         # return-type token texts
-    parallel_call: str | None = None                 # lambdas: harness callee
 
     def declared_locally(self, name: str) -> bool:
         return name in self.var_types or name in self.auto_inits
@@ -122,7 +115,6 @@ class FunctionDef:
 
 class Model:
     def __init__(self, lexed):
-        self.lexed = lexed
         self.tokens: list[Token] = lexed.tokens
         self.match: dict[int, int] = {}
         self.functions: list[FunctionDef] = []
@@ -153,9 +145,6 @@ class Model:
                         self.match[j] = i
                         self.match[i] = j
                         break
-
-    def _prev_significant(self, i: int) -> int:
-        return i - 1
 
     def _is_lambda_body(self, b: int) -> bool:
         """True if the '{' at token index b opens a lambda body."""
@@ -277,8 +266,7 @@ class Model:
             tainted = thread_tainted or \
                 (control and self._head_tainted(start, stmt_end))
             func.statements.append(Statement(
-                start, stmt_end, in_loop, parallel_call, tainted,
-                func.is_lambda))
+                start, stmt_end, in_loop, parallel_call, tainted))
             self._parse_local_decl(func, start, stmt_end)
         elif kind == "class":
             self._parse_member_decl(start, stmt_end)
@@ -308,7 +296,6 @@ class Model:
         lam = FunctionDef("<lambda>", None, brace, brace, close,
                           parent=func, is_lambda=True)
         lam._tokens = self.tokens
-        lam.parallel_call = parallel
         self._parse_lambda_params(lam, brace)
         self.functions.append(lam)
         self._scan_scope(brace + 1, close, "func", lam,
@@ -345,8 +332,7 @@ class Model:
             if func is not None:
                 func.statements.append(Statement(
                     head_start, brace, loop_depth, parallel_call,
-                    thread_tainted or self._head_tainted(head_start, brace),
-                    func.is_lambda))
+                    thread_tainted or self._head_tainted(head_start, brace)))
                 self._parse_control_head_decls(func, head_start, brace)
             new_loop = loop_depth + (1 if head_kw in ("for", "while", "do")
                                      else 0)
@@ -451,7 +437,6 @@ class Model:
         fn = FunctionDef(name, ret_class, head_start, brace,
                          self.match.get(brace, brace))
         fn._tokens = toks
-        fn.return_texts = tuple(t.text for t in ret_tokens)
         self._parse_params(fn, open_p, close_p)
         return fn
 
@@ -511,7 +496,6 @@ class Model:
                 continue
             cls = classify_type_tokens(seg[:-1])
             fn.param_order.append((namet.text, cls))
-            fn.decl_texts[namet.text] = tuple(t.text for t in seg[:-1])
             if cls:
                 fn.var_types[namet.text] = cls
 
@@ -535,11 +519,8 @@ class Model:
         `double a, b;` and the first clause of classic for-heads."""
         toks = self.tokens
         i = start
-        is_static = False
         while i < end and toks[i].kind == "kw" and \
                 toks[i].text in _DECL_QUALIFIERS:
-            is_static = is_static or toks[i].text in ("static",
-                                                      "thread_local")
             i += 1
         if i >= end:
             return
@@ -576,19 +557,9 @@ class Model:
                          nxt.text in ("*", "&", "<", "::"))):
                     pass  # part of the type
                 else:
-                    # This id is the declared name (if what precedes
-                    # classifies as a type). Record the raw type span for
-                    # the summary layer even when it has no contract class
-                    # (arena/view/container types), but only when it looks
-                    # like a type (ids/keywords present) — `x = y;` has an
-                    # empty span and is an assignment, not a declaration.
-                    type_span = toks[type_start:j]
-                    cls = classify_type_tokens(type_span)
-                    if any(tt.kind in ("id", "kw") for tt in type_span):
-                        fn.decl_texts[tj.text] = tuple(
-                            tt.text for tt in type_span)
-                        if is_static:
-                            fn.decl_statics.add(tj.text)
+                    # This id is the declared name, if what precedes
+                    # classifies as a type.
+                    cls = classify_type_tokens(toks[type_start:j])
                     if cls is None:
                         return
                     fn.var_types[tj.text] = cls
@@ -606,8 +577,6 @@ class Model:
                                 if k + 1 < end and \
                                         toks[k + 1].kind == "id":
                                     fn.var_types[toks[k + 1].text] = cls
-                                    fn.decl_texts[toks[k + 1].text] = \
-                                        tuple(tt.text for tt in type_span)
                         k += 1
                     return
             elif tj.kind == "kw" and angle == 0 and \
@@ -661,13 +630,8 @@ def classify_type_tokens(tokens) -> str | None:
             continue
         if t.kind == "kw" and t.text in ("double", "float"):
             saw_float = True
-        elif t.kind == "id":
-            if t.text == "Status":
-                return "status"
-            if t.text == "Result":
-                return "status"
-            if t.text == "Rng":
-                return "rng"
+        elif t.kind == "id" and t.text == "Rng":
+            return "rng"
     if saw_float:
         return "float_ptr" if saw_ptr else "float"
     return None
@@ -686,8 +650,6 @@ def _classify_init_tokens(tokens, fn, index, member_types,
                     return "rng"
                 if index is not None and index.returns_float(t.text):
                     return "float"
-                if index is not None and index.returns_status(t.text):
-                    return "status"
             else:
                 cls = fn.type_of(t.text, index, member_types, _seen) \
                     if fn is not None else None

@@ -1,117 +1,21 @@
-"""Interprocedural layer: call graph + per-function summaries.
+"""Interprocedural Rng-draw summaries for the rng-stream checker.
 
-The statement-local checkers (PR 4/PR 7) cannot see through a helper
-function: a pointer minted from a ``ScratchArena`` inside ``MakeBuf()`` and
-returned to a caller that outlives the arena ``Scope`` is invisible to any
-single-function analysis. This module closes that gap for the internal
-backend:
+A shared generator handed to a helper that draws from it, inside a
+parallel-harness lambda or under a thread-topology guard, is as
+schedule-dependent as a direct draw — and invisible to a single-function
+analysis. For every named function definition in the scanned tree (plus
+the src/ headers) this table records which ``Rng&`` parameter positions
+the body draws from, directly or by passing the parameter on to a callee
+that does.
 
-  * every named function definition in the scanned tree contributes a
-    ``FunctionSummary`` of the facts callers care about — whether its
-    return value may alias arena storage, which parameters its returned
-    view may point into, which ``Rng&`` parameters it draws from, and
-    whether it forwards a ``Status``-returning call;
-  * summaries propagate bottom-up over the call graph to a fixpoint: each
-    pass re-derives every summary against the current table until nothing
-    grows. All facts are monotone (sets only grow, booleans only flip to
-    True), so the iteration terminates; recursion cycles simply converge
-    to the conservative may-alias answer.
-
-The same dataflow primitives (arena taint, view-source detection, call
-argument splitting) are exported for the arena-escape / view-escape
-checkers, so the intra- and inter-procedural halves of the analysis cannot
-disagree on what "derived from an arena allocation" means.
-
-Known imprecision (documented in DESIGN.md): function identity is by bare
-name — overload sets share one summary (facts union, erring toward
-reporting); taint is tracked per-name without kill-on-reassignment; field
-accesses (``obj.ptr``) are not tracked. The model errs toward silence at
-statement granularity and toward noise at summary granularity, which in
-practice keeps the tree clean while catching every seeded escape.
+Facts only grow, so the bottom-up fixpoint over the call graph terminates;
+recursion cycles converge. Function identity is by bare name: overload sets
+share one entry and union their facts, erring toward reporting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .model import RNG_DRAW_METHODS
-
-# Type-token spellings that make a declaration a *view* (non-owning window
-# into somebody else's storage).
-VIEW_TYPE_IDS = frozenset({"string_view", "span"})
-
-# Owning containers whose storage dies with the enclosing scope. A view or
-# pointer into a function-local one of these must not be returned.
-CONTAINER_TYPE_IDS = frozenset({
-    "vector", "string", "array", "deque", "list", "map", "set",
-    "unordered_map", "unordered_set", "basic_string", "InlinedVector",
-})
-
-# Methods that yield a pointer/iterator/view into the receiver's storage.
-ADDRESS_YIELDING_METHODS = frozenset({
-    "data", "c_str", "begin", "end", "cbegin", "cend", "rbegin", "rend",
-    "front", "back",
-})
-
-ARENA_TYPE_ID = "ScratchArena"
-ARENA_ALLOC_METHODS = frozenset({"Alloc"})
-
-# Parallel entry points that *defer* their callable past the call: a lambda
-# handed to these may run after the enclosing arena Scope rewinds, so
-# capturing arena-derived state in one is an escape. ParallelFor/RunParallel
-# join before returning and are deliberately absent.
-DEFERRED_ENTRY_POINTS = frozenset({"Submit", "Enqueue", "Dispatch"})
-
-
-# --------------------------------------------------------------- summaries
-
-
-@dataclass
-class FunctionSummary:
-    name: str
-    param_count: int = 0
-    # Return value may alias storage of a ScratchArena reachable from the
-    # caller (arena parameter or the shared thread-local arena).
-    returns_arena: bool = False
-    # Function constructs its own ScratchArena::Scope (rewinds on exit).
-    has_local_scope: bool = False
-    # Parameter positions whose storage the returned view may point into.
-    views_params: set = field(default_factory=set)
-    # Parameter positions (Rng& params) the function draws from, directly
-    # or through a callee.
-    draws_rng_params: set = field(default_factory=set)
-    # Deduced-return wrapper that forwards a Status/Result-returning call.
-    returns_status: bool = False
-    # Some definition under this name definitively returns non-Status.
-    # Identity is by bare name, so overload sets union: when both flags
-    # are set the answer is ambiguous and queries must say False (same
-    # contract as SymbolIndex._ambiguous).
-    returns_nonstatus: bool = False
-
-    def merge(self, other: "FunctionSummary") -> bool:
-        """Unions `other` in; returns True if anything grew."""
-        grew = False
-        for attr in ("returns_arena", "has_local_scope", "returns_status",
-                     "returns_nonstatus"):
-            if getattr(other, attr) and not getattr(self, attr):
-                setattr(self, attr, True)
-                grew = True
-        for attr in ("views_params", "draws_rng_params"):
-            mine, theirs = getattr(self, attr), getattr(other, attr)
-            if not theirs <= mine:
-                mine |= theirs
-                grew = True
-        if other.param_count > self.param_count:
-            self.param_count = other.param_count
-            grew = True
-        return grew
-
-
-# ----------------------------------------------------------- token helpers
-
-
-def _texts(toks):
-    return [t.text for t in toks]
 
 
 def split_call_args(toks, match, open_idx):
@@ -149,307 +53,38 @@ def iter_calls(toks, match, start, end):
                 yield p.text, i
 
 
-def _value_position(toks, i, start, end):
-    """True when the id at token index i is used as a pointer/view *value*
-    (escapes as-is), not dereferenced on the spot (`*p`, `p[i]`) and not a
-    member-access base (`p.size()` handled separately by the caller)."""
-    prev = toks[i - 1] if i - 1 >= start else None
-    nxt = toks[i + 1] if i + 1 < end else None
-    if prev is not None and prev.kind == "punct" and prev.text == "*":
-        return False  # immediate dereference: a value load, not an escape
-    if nxt is not None and nxt.kind == "punct" and nxt.text == "[":
-        return False  # element access
-    if prev is not None and prev.kind == "punct" and prev.text in (".", "->"):
-        return False  # member named like the variable, not the variable
-    return True
-
-
-def find_escaping(toks, start, end, names):
-    """Token index of the first use of a name from `names` in value
-    position within [start, end), or of a name whose address-yielding
-    method (`.data()`, `.begin()`, ...) is called there. None if no such
-    use exists."""
-    for i in range(start, end):
-        t = toks[i]
-        if t.kind != "id" or t.text not in names:
-            continue
-        nxt = toks[i + 1] if i + 1 < end else None
-        if nxt is not None and nxt.kind == "punct" and nxt.text in (".",
-                                                                    "->"):
-            meth = toks[i + 2] if i + 2 < end else None
-            if meth is not None and meth.kind == "id" and \
-                    meth.text in ADDRESS_YIELDING_METHODS:
-                return i
-            continue  # some other member call: value use, not an escape
-        if _value_position(toks, i, start, end):
-            return i
-    return None
-
-
-def span_mentions_escaping(toks, start, end, names):
-    """True when [start, end) uses one of `names` in value position, or
-    calls an address-yielding method on it."""
-    return find_escaping(toks, start, end, names) is not None
-
-
-# ------------------------------------------------------ per-function facts
-
-
-def _type_has(decl_texts, ident) -> bool:
-    return ident in decl_texts
-
-
-def arena_vars(fn) -> set:
-    """Names declared as ScratchArena (reference or value) in `fn`."""
-    out = set()
-    for name, texts in fn.decl_texts.items():
-        if ARENA_TYPE_ID in texts and "Scope" not in texts:
-            out.add(name)
-    return out
-
-
-def has_local_scope(fn, toks) -> bool:
-    """True when `fn` constructs a ScratchArena::Scope of its own."""
-    for texts in fn.decl_texts.values():
-        if ARENA_TYPE_ID in texts and "Scope" in texts:
-            return True
-    # Pattern not caught by decl parsing: `ScratchArena::Scope s(arena);`
-    # parses as a decl; `auto s = arena.MakeScope()` style would not, so
-    # also accept the raw token triple inside the body.
-    for i in range(fn.body_open, fn.body_close - 2):
-        if toks[i].text == ARENA_TYPE_ID and toks[i + 1].text == "::" and \
-                toks[i + 2].text == "Scope":
-            return True
-    return False
-
-
-def _is_arena_alloc(toks, match, start, end, arenas):
-    """True when [start, end) contains `a.Alloc<...>(...)` for a known
-    arena `a`, or `ScratchArena::ThreadLocal().Alloc<...>`."""
-    for i in range(start, end):
-        t = toks[i]
-        if t.kind != "id" or t.text not in ARENA_ALLOC_METHODS:
-            continue
-        prev = toks[i - 1] if i - 1 >= start else None
-        if prev is None or prev.kind != "punct" or prev.text not in (".",
-                                                                     "->"):
-            continue
-        base = toks[i - 2] if i - 2 >= start else None
-        if base is None:
-            continue
-        if base.kind == "id" and base.text in arenas:
-            return True
-        # ScratchArena::ThreadLocal().Alloc<...>(...)
-        if base.kind == "punct" and base.text == ")":
-            op = match.get(i - 2)
-            if op is not None and op - 1 >= start and \
-                    toks[op - 1].text == "ThreadLocal":
-                return True
-    return False
-
-
-def compute_arena_taint(fn, model, summaries=None) -> set:
-    """Names in `fn` holding pointers/views derived from arena storage.
-
-    Forward pass over the function's statements: a declaration is tainted
-    when its initializer allocates from an arena, mentions an
-    already-tainted name in value position, or calls a function whose
-    summary says the return aliases arena storage (with an arena or
-    tainted argument at the call site)."""
-    toks = model.tokens
-    arenas = arena_vars(fn)
-    tainted: set = set()
-    for st in fn.statements:
-        declared = [n for n in fn.decl_texts
-                    if _stmt_declares(fn, toks, st, n)]
-        declared += [n for n, (s, e) in fn.auto_inits.items()
-                     if st.start <= s < st.end]
-        if not declared:
-            continue
-        init_start, init_end = st.start, st.end
-        hit = _is_arena_alloc(toks, model.match, init_start, init_end,
-                              arenas)
-        if not hit and tainted and span_mentions_escaping(
-                toks, init_start, init_end, tainted):
-            hit = True
-        if not hit and summaries is not None:
-            # Any call to a returns-arena function taints the declared
-            # name: whichever arena the callee reached (a parameter or the
-            # shared thread-local one), the result is a may-alias of bump
-            # storage some Scope will rewind.
-            for callee, _ in iter_calls(toks, model.match, init_start,
-                                        init_end):
-                if summaries.returns_arena(callee):
-                    hit = True
-                    break
-        if hit:
-            tainted.update(declared)
-    return tainted
-
-
-def _stmt_declares(fn, toks, st, name) -> bool:
-    """True when statement `st` is the declaration of `name` (the declared
-    name token appears in the statement span followed by a declarator
-    continuation, with its recorded type immediately before it)."""
-    texts = fn.decl_texts.get(name)
-    if texts is None:
-        return False
-    last_type_tok = texts[-1] if texts else None
-    for i in range(st.start, st.end):
-        t = toks[i]
-        if t.kind == "id" and t.text == name and i > st.start:
-            if last_type_tok is not None and \
-                    toks[i - 1].text == last_type_tok:
-                return True
-    return False
-
-
-def local_containers(fn) -> set:
-    """Function-local owning containers (excluding static locals and
-    parameters — a view into a parameter is the caller's storage)."""
-    params = {n for n, _ in fn.param_order if n}
-    out = set()
-    for name, texts in fn.decl_texts.items():
-        if name in params or name in fn.decl_statics:
-            continue
-        if any(t in CONTAINER_TYPE_IDS for t in texts):
-            # `const std::vector<double>&` is a reference to somebody
-            # else's container, not local storage.
-            if "&" in texts or "*" in texts:
-                continue
-            out.add(name)
-    return out
-
-
-def returns_view_type(fn) -> bool:
-    """True when `fn`'s return type is a view, pointer, or reference."""
-    texts = fn.return_texts
-    if not texts:
-        return False
-    if any(t in VIEW_TYPE_IDS for t in texts):
-        return True
-    return "*" in texts or "&" in texts
-
-
-def iter_return_stmts(fn, toks):
-    """Yields (expr_start, expr_end) for every `return expr;` in `fn`."""
-    for st in fn.statements:
-        if st.end > st.start and toks[st.start].kind == "kw" and \
-                toks[st.start].text == "return":
-            if st.end > st.start + 1:
-                yield st.start + 1, st.end
-
-
-# -------------------------------------------------------- program summary
-
-
-class ProgramSummaries:
-    """Summary table over every named function definition in the scanned
-    tree, with bottom-up fixpoint propagation over the call graph."""
+class RngDrawSummaries:
+    """Function name -> Rng parameter positions it draws from."""
 
     def __init__(self):
-        self.by_name: dict[str, FunctionSummary] = {}
+        self._draws: dict[str, set] = {}
         self._functions: list = []   # (fn, model) for named definitions
-
-    # -- construction
 
     def add_model(self, model) -> None:
         for fn in model.functions:
-            if fn.is_lambda or not fn.name or fn.name == "<lambda>":
-                continue
-            self._functions.append((fn, model))
+            if not fn.is_lambda and fn.name and fn.name != "<lambda>":
+                self._functions.append((fn, model))
 
     def finalize(self, max_passes: int = 10) -> None:
-        """Derives all summaries, iterating to a fixpoint.
-
-        Pass 1 computes purely local facts; later passes fold in callee
-        summaries. All facts are monotone, so `max_passes` is a safety
-        bound, not a semantic one (depth > max_passes wrapper chains lose
-        precision, never soundness of the clean direction)."""
+        """Derives all summaries, iterating to a fixpoint. `max_passes` is
+        a safety bound: deeper wrapper chains lose precision only."""
         for _ in range(max_passes):
             grew = False
             for fn, model in self._functions:
-                s = self._derive(fn, model)
-                cur = self.by_name.get(fn.name)
-                if cur is None:
-                    self.by_name[fn.name] = s
-                    grew = True
-                elif cur.merge(s):
+                rng_pos = {n: i for i, (n, c) in enumerate(fn.param_order)
+                           if n and c == "rng"}
+                body = (fn.body_open + 1, fn.body_close)
+                found = {pos for name, pos in rng_pos.items()
+                         if self._draws_from(model, body, name)}
+                cur = self._draws.setdefault(fn.name, set())
+                if not found <= cur:
+                    cur |= found
                     grew = True
             if not grew:
                 break
 
-    def _derive(self, fn, model) -> FunctionSummary:
+    def _draws_from(self, model, body, name) -> bool:
         toks = model.tokens
-        s = FunctionSummary(fn.name, param_count=len(fn.param_order))
-        s.has_local_scope = has_local_scope(fn, toks)
-
-        # Arena: does any return statement hand out arena-derived storage?
-        arenas = arena_vars(fn)
-        tainted = compute_arena_taint(fn, model, self)
-        for r_s, r_e in iter_return_stmts(fn, toks):
-            if span_mentions_escaping(toks, r_s, r_e, tainted) or \
-                    _is_arena_alloc(toks, model.match, r_s, r_e, arenas):
-                s.returns_arena = True
-                break
-            for callee, op in iter_calls(toks, model.match, r_s, r_e):
-                if self.returns_arena(callee):
-                    s.returns_arena = True
-                    break
-
-        # Views: which params can the returned view alias?
-        if returns_view_type(fn):
-            param_pos = {n: i for i, (n, _) in enumerate(fn.param_order)
-                         if n}
-            for r_s, r_e in iter_return_stmts(fn, toks):
-                for name, pos in param_pos.items():
-                    if span_mentions_escaping(toks, r_s, r_e, {name}):
-                        s.views_params.add(pos)
-                # One wrapper level: `return Inner(p);` where Inner views
-                # the position `p` lands in.
-                for callee, op in iter_calls(toks, model.match, r_s, r_e):
-                    inner = self.by_name.get(callee)
-                    if inner is None or not inner.views_params:
-                        continue
-                    args, _ = split_call_args(toks, model.match, op)
-                    for a_i, (a_s, a_e) in enumerate(args):
-                        if a_i not in inner.views_params:
-                            continue
-                        for name, pos in param_pos.items():
-                            if span_mentions_escaping(toks, a_s, a_e,
-                                                      {name}):
-                                s.views_params.add(pos)
-
-        # Rng: which Rng& params does the body draw from?
-        rng_pos = {n: i for i, (n, c) in enumerate(fn.param_order)
-                   if n and c == "rng"}
-        if rng_pos:
-            body = (fn.body_open + 1, fn.body_close)
-            for name, pos in rng_pos.items():
-                if self._draws_from(toks, model, body, name):
-                    s.draws_rng_params.add(pos)
-
-        # Status: a wrapper whose returns all forward status-returning
-        # calls classifies as status-returning itself (covers `auto`
-        # deduced returns the index cannot classify).
-        if fn.return_class == "status":
-            s.returns_status = True
-        elif "auto" in fn.return_texts:
-            # Deduced return the index cannot classify: a wrapper whose
-            # every return forwards a Status-returning call is itself
-            # Status-returning; otherwise the type stays unknown.
-            rets = list(iter_return_stmts(fn, toks))
-            if rets and all(self._forwards_status(toks, model, r_s, r_e)
-                            for r_s, r_e in rets):
-                s.returns_status = True
-        elif fn.return_texts:
-            # Concrete non-Status return (incl. void): definitively not a
-            # Status under this name. Constructors/destructors (no return
-            # tokens) assert nothing.
-            s.returns_nonstatus = True
-        return s
-
-    def _draws_from(self, toks, model, body, name) -> bool:
         start, end = body
         for i in range(start, end):
             t = toks[i]
@@ -466,67 +101,33 @@ class ProgramSummaries:
             # Passed onward: `Helper(name, ...)` where Helper draws from
             # that position.
             prev = toks[i - 1] if i - 1 >= start else None
-            if prev is not None and prev.kind == "punct" and \
-                    prev.text in ("(", ","):
-                op = i - 1
-                depth = 0
-                while op >= start:
-                    tt = toks[op]
-                    if tt.kind == "punct":
-                        if tt.text == ")":
-                            depth += 1
-                        elif tt.text == "(":
-                            if depth == 0:
-                                break
-                            depth -= 1
-                    op -= 1
-                if op >= start and op - 1 >= start and \
-                        toks[op - 1].kind == "id":
-                    callee = self.by_name.get(toks[op - 1].text)
-                    if callee is not None and callee.draws_rng_params:
-                        args, _ = split_call_args(toks, model.match, op)
-                        for a_i, (a_s, a_e) in enumerate(args):
-                            if a_i in callee.draws_rng_params and any(
-                                    toks[k].kind == "id" and
-                                    toks[k].text == name
-                                    for k in range(a_s, a_e)):
-                                return True
+            if prev is None or prev.kind != "punct" or \
+                    prev.text not in ("(", ","):
+                continue
+            op = i - 1
+            depth = 0
+            while op >= start:
+                tt = toks[op]
+                if tt.kind == "punct":
+                    if tt.text == ")":
+                        depth += 1
+                    elif tt.text == "(":
+                        if depth == 0:
+                            break
+                        depth -= 1
+                op -= 1
+            if op - 1 < start or toks[op - 1].kind != "id":
+                continue
+            positions = self._draws.get(toks[op - 1].text)
+            if not positions:
+                continue
+            args, _ = split_call_args(toks, model.match, op)
+            for a_i, (a_s, a_e) in enumerate(args):
+                if a_i in positions and any(
+                        toks[k].kind == "id" and toks[k].text == name
+                        for k in range(a_s, a_e)):
+                    return True
         return False
 
-    def _forwards_status(self, toks, model, r_s, r_e) -> bool:
-        """True when `return <expr>` is a plain call to a status-returning
-        function (possibly namespace-qualified)."""
-        if toks[r_e - 1].kind != "punct" or toks[r_e - 1].text != ")":
-            return False
-        op = model.match.get(r_e - 1)
-        if op is None or op - 1 < r_s or toks[op - 1].kind != "id":
-            return False
-        callee = toks[op - 1].text
-        inner = self.by_name.get(callee)
-        return inner is not None and inner.returns_status
-
-    # -- queries (safe on unknown names)
-
-    def returns_arena(self, name: str) -> bool:
-        s = self.by_name.get(name)
-        return s is not None and s.returns_arena
-
-    def views_params(self, name: str) -> set:
-        s = self.by_name.get(name)
-        return s.views_params if s is not None else set()
-
     def draws_rng_params(self, name: str) -> set:
-        s = self.by_name.get(name)
-        return s.draws_rng_params if s is not None else set()
-
-    def returns_status(self, name: str) -> bool:
-        s = self.by_name.get(name)
-        return s is not None and s.returns_status and \
-            not s.returns_nonstatus
-
-    def summary(self, name: str) -> FunctionSummary | None:
-        return self.by_name.get(name)
-
-
-class EmptySummaries(ProgramSummaries):
-    """Null object used when no interprocedural info is available."""
+        return self._draws.get(name, set())

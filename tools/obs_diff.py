@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-import manifest_fields  # noqa: E402  (sibling module, needs the path tweak)
+import obs_registry  # noqa: E402  (sibling module, needs the path tweak)
 
 # Manifest fields where a mismatch invalidates the comparison: timings
 # taken at different thread counts differ for reasons that say nothing
@@ -103,8 +103,8 @@ def manifest_mismatches(a: dict, b: dict) -> dict:
         return out
     ma, mb = a["manifest"], b["manifest"]
     try:
-        keys = manifest_fields.load()["keys"]
-    except (OSError, manifest_fields.ManifestParseError):
+        keys = obs_registry.load_manifest()["keys"]
+    except (OSError, obs_registry.ParseError):
         keys = sorted(set(ma) | set(mb))  # detached from a source checkout
     for key in keys:
         if key in _IGNORED_FIELDS or key == "params":

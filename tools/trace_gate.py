@@ -32,8 +32,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-import manifest_fields  # noqa: E402  (sibling module, needs the path tweak)
-import obs_names  # noqa: E402
+import obs_registry  # noqa: E402  (sibling module, needs the path tweak)
 
 # Disabled-mode obs entry points that must be near-free.
 OBS_DISABLED_BENCHMARKS = (
@@ -59,8 +58,8 @@ def fail(msg: str) -> None:
 def check_manifest(path: str, summary) -> bool:
     """Every gated trace must carry a complete, current-schema manifest."""
     try:
-        reg = manifest_fields.load()
-    except (OSError, manifest_fields.ManifestParseError) as e:
+        reg = obs_registry.load_manifest()
+    except (OSError, obs_registry.ParseError) as e:
         fail(f"cannot load manifest field inventory: {e}")
         return False
     manifest = summary.get("manifest")
@@ -86,8 +85,8 @@ def check_manifest(path: str, summary) -> bool:
 def check_summaries(paths) -> bool:
     ok = True
     try:
-        known = obs_names.known_names()
-    except (OSError, obs_names.NamesParseError) as e:
+        known = obs_registry.known_names()
+    except (OSError, obs_registry.ParseError) as e:
         fail(f"cannot load obs name registry: {e}")
         return False
     for path in paths:
