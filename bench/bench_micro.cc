@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "benchutil/parallel.h"
+#include "benchutil/workloads.h"
 #include "common/kernels.h"
 #include "common/rng.h"
 #include "core/approx_part.h"
@@ -343,6 +344,17 @@ BENCHMARK(BM_DistanceToHkFast)
     ->Arg(1 << 13)
     ->Arg(1 << 16)
     ->Unit(benchmark::kMillisecond);
+
+/// The e2e grid's set-up (MakeWorkloadGrid, `wide-domain`'s n = 2^18, k = 4,
+/// eps = 0.25), whose cost is the far candidates' certification.
+void BM_WorkloadGrid(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    Rng rng(20230601);
+    benchmark::DoNotOptimize(MakeWorkloadGrid(n, 4, 0.25, rng));
+  }
+}
+BENCHMARK(BM_WorkloadGrid)->Arg(1 << 18)->Unit(benchmark::kMillisecond);
 
 void BM_L1DistanceKernel(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

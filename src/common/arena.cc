@@ -4,6 +4,10 @@
 
 #include "common/check.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace histest {
 
 namespace {
@@ -30,8 +34,21 @@ void* ScratchArena::AllocBytes(size_t bytes, size_t align) {
   }
   current_ = chunk;
   used_ = offset + bytes;
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(chunks_[chunk].data.get() + offset, bytes);
+#endif
   return chunks_[chunk].data.get() + offset;
 }
+
+#if defined(__SANITIZE_ADDRESS__)
+void ScratchArena::PoisonFrom(size_t chunk, size_t used) {
+  for (size_t c = chunk; c < chunks_.size(); ++c) {
+    const size_t begin = c == chunk ? used : 0;
+    ASAN_POISON_MEMORY_REGION(chunks_[c].data.get() + begin,
+                              chunks_[c].capacity - begin);
+  }
+}
+#endif
 
 size_t ScratchArena::bytes_reserved() const {
   size_t total = 0;

@@ -21,6 +21,8 @@ namespace histest {
 ///
 /// Growth never moves existing chunks, so pointers handed out earlier in a
 /// scope stay valid when a later allocation spills into a new chunk.
+/// Under AddressSanitizer a Scope's rewind poisons the reclaimed bytes, so
+/// a pointer used past its Scope is reported as a use-after-poison.
 ///
 /// Not thread-safe; use ThreadLocal() for one arena per thread (each
 /// parallel trial worker warms up its own).
@@ -50,6 +52,9 @@ class ScratchArena {
     explicit Scope(ScratchArena& arena)
         : arena_(arena), chunk_(arena.current_), used_(arena.used_) {}
     ~Scope() {
+#if defined(__SANITIZE_ADDRESS__)
+      arena_.PoisonFrom(chunk_, used_);
+#endif
       arena_.current_ = chunk_;
       arena_.used_ = used_;
     }
@@ -76,6 +81,13 @@ class ScratchArena {
   };
 
   void* AllocBytes(size_t bytes, size_t align);
+
+#if defined(__SANITIZE_ADDRESS__)
+  /// Poisons every retained byte from offset `used` of chunk `chunk` on, so
+  /// ASan reports a read through a pointer kept past a Scope's rewind;
+  /// AllocBytes unpoisons what it hands out again.
+  void PoisonFrom(size_t chunk, size_t used);
+#endif
 
   std::vector<Chunk> chunks_;
   size_t current_ = 0;  // chunk the bump cursor lives in

@@ -15,6 +15,10 @@
 #include <cstring>
 #include <thread>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define HISTEST_COUNT_ALLOCATIONS 0
 #elif defined(__has_feature)
@@ -161,6 +165,26 @@ TEST(ScratchArenaTest, SteadyStateTrialLoopIsAllocationFree) {
 #endif
   EXPECT_EQ(arena.bytes_reserved(), warmed);
 }
+
+#if defined(__SANITIZE_ADDRESS__)
+// Under ASan a Scope's rewind poisons the reclaimed bytes, so a pointer
+// kept past its Scope faults on the next read instead of reading whatever
+// a later allocation wrote there.
+TEST(ScratchArenaDeathTest, ReadPastRewindIsReported) {
+  ScratchArena arena;
+  volatile double* kept = nullptr;
+  {
+    const ScratchArena::Scope scope(arena);
+    double* d = arena.Alloc<double>(8);
+    d[3] = 1.0;
+    kept = d;
+  }
+  ASSERT_TRUE(__asan_address_is_poisoned(const_cast<double*>(kept) + 3));
+  // ASan writes its report to stderr or to ASAN_OPTIONS' log_path, so only
+  // the death itself is matched.
+  EXPECT_DEATH({ (void)kept[3]; }, "");
+}
+#endif  // __SANITIZE_ADDRESS__
 
 }  // namespace
 }  // namespace histest
